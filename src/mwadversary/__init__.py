@@ -23,10 +23,12 @@ from .exact_eval import (
     brute_force_value,
     exhaustive_offline_optimum,
     log_telescoping_residuals,
+    mixed_policy_values,
     normal_cdf,
     offset_distribution,
     policy_value,
     two_honest_value,
+    two_honest_values,
     value_block_policy,
     value_false,
     value_true,
@@ -39,7 +41,9 @@ from .online_dp import (
     monte_carlo_k_expert,
     no_info_conditional_losses,
     no_information_baseline,
+    no_information_values,
     optimal_value,
+    optimal_values,
     simulate_online,
     solve_k_expert,
     solve_two_expert,

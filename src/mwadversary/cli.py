@@ -30,15 +30,15 @@ from .core import GuardError, ModelParams
 from .exact_eval import (
     exhaustive_offline_optimum,
     policy_value,
-    two_honest_value,
+    two_honest_values,
     value_false,
     value_true,
 )
 from .online_dp import (
     KExpertParams,
     monte_carlo_k_expert,
-    no_information_baseline,
-    optimal_value,
+    no_information_values,
+    optimal_values,
     simulate_online,
     solve_k_expert,
     solve_two_expert,
@@ -219,6 +219,12 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
     )
     if scenario != "verify" and not cfg.out:
         raise ConfigError("an output path is required (out=... or --out)")
+    if "N" in _DEFAULTS[scenario] and not cfg.horizons:
+        raise ConfigError("N must list at least one horizon")
+    if cfg.trials < 0:
+        raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
+    if scenario == "multi-expert" and cfg.trials < 1:
+        raise ConfigError(f"multi-expert needs trials >= 1, got {cfg.trials}")
     return cfg
 
 
@@ -315,6 +321,12 @@ _COMPARE_HEADER = [
 def run_compare(cfg: ExperimentConfig) -> int:
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
+        # one backward and two forward passes at the group's largest horizon
+        # hold the online value and both baselines of every smaller one
+        longest = _params(cfg, mu, rho0, max(cfg.horizons))
+        online = optimal_values(longest)
+        no_adversary = two_honest_values(longest)
+        no_info = no_information_values(longest)
         for n in cfg.horizons:
             params = _params(cfg, mu, rho0, n)
             v_f = value_false(n, rho0, params)
@@ -329,14 +341,14 @@ def run_compare(cfg: ExperimentConfig) -> int:
                     _, v_opt = exhaustive_offline_optimum(params)
                 except GuardError as exc:
                     print(f"N={n}: offline optimum skipped ({exc})", file=sys.stderr)
-            v_on = optimal_value(params)
+            v_on = float(online[n])
             lower = max(v for v in (v_f, v_ratio, v_opt) if v is not None)
             if v_on < lower - 1e-9:
                 raise RuntimeError(
                     f"invariant violated at N={n}, mu={mu}: online {v_on} < offline {lower}"
                 )
             rows.append([n, mu, rho0, cfg.epsilon, v_f, v_t, v_ratio, v_opt, v_on,
-                         two_honest_value(params), no_information_baseline(params)])
+                         float(no_adversary[n]), float(no_info[n])])
     write_csv(cfg.out, _COMPARE_HEADER, rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
     print(f"wrote {cfg.out}")
     if cfg.svg:
@@ -356,6 +368,16 @@ def run_compare(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _k_params(cfg: ExperimentConfig, n: int) -> KExpertParams:
+    try:
+        return KExpertParams(
+            epsilon=cfg.epsilon, horizon=n, accuracies=tuple(cfg.accuracies),
+            initial_weights=tuple(cfg.weights),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_multi_expert(cfg: ExperimentConfig) -> int:
     if len(cfg.weights) != len(cfg.accuracies) + 1:
         raise ConfigError(
@@ -365,18 +387,15 @@ def run_multi_expert(cfg: ExperimentConfig) -> int:
               "v_k_clairvoyant_stderr", "v_k_exact_dp", "trials", "k_experts", "accuracies"]
     mu_mean = float(np.mean(cfg.accuracies))
     acc_text = ";".join(fmt(a) for a in cfg.accuracies)
+    longest = max(cfg.horizons)
+    rho_adv = _k_params(cfg, longest).adversary_relative_weight
+    # one backward pass at the largest horizon holds the reduced model's
+    # online value of every smaller one
+    two_expert = optimal_values(_params(cfg, mu_mean, rho_adv, longest))
     rows = []
     for n in cfg.horizons:
-        try:
-            kparams = KExpertParams(
-                epsilon=cfg.epsilon, horizon=n, accuracies=tuple(cfg.accuracies),
-                initial_weights=tuple(cfg.weights),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        rho_adv = kparams.adversary_relative_weight
-        params = _params(cfg, mu_mean, rho_adv, n)
-        v2 = optimal_value(params)
+        kparams = _k_params(cfg, n)
+        v2 = float(two_expert[n])
         mc = monte_carlo_k_expert(kparams, cfg.trials, cfg.seed, mode="clairvoyant")
         # horizons above exact_dp_max_n leave the exact column blank; raising
         # the knob past the solver guards is a hard guard violation (exit 3)
@@ -401,9 +420,9 @@ def run_multi_expert(cfg: ExperimentConfig) -> int:
 
 
 def run_verify(cfg: ExperimentConfig) -> int:
-    started = time.time()
+    started = time.perf_counter()
     results = run_all()
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: measured={res.measured:.6g} "

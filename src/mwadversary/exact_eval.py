@@ -2,9 +2,12 @@
 
 Everything here is exact (up to double precision): all-lies and all-truths
 runs collapse to binomial tail sums, arbitrary block policies are evaluated
-by pushing an exact integer-offset distribution through the blocks, and two
-brute-force enumerators (over honest sample paths, and over entire policy
-trees) serve as independent oracles.  The module also computes the
+by pushing an exact integer-offset distribution through the blocks, policies
+that lie at each stage with a fixed probability (the no-adversary and
+no-information baselines among them) by pushing it one stage at a time, which
+gives every prefix horizon in the same pass, and two brute-force enumerators
+(over honest sample paths, and over entire policy trees) serve as
+independent oracles.  The module also computes the
 credibility-rebuild bonus of a block policy together with its normal-CDF
 approximation, and provides numeric verifiers for the two analytic
 inequalities the approximation analysis rests on.
@@ -32,7 +35,9 @@ __all__ = [
     "bonus_term",
     "log_telescoping_residuals",
     "berry_esseen_check",
+    "mixed_policy_values",
     "two_honest_value",
+    "two_honest_values",
     "normal_cdf",
 ]
 
@@ -408,30 +413,54 @@ def berry_esseen_check(n: int, m: int, mu: float) -> tuple[float, float, float, 
     return exact, approx, abs(exact - approx), sigma
 
 
-def two_honest_value(params: ModelParams) -> float:
-    """Expected loss over the horizon when the adversary slot is filled by a
-    second independent honest expert of the same accuracy (the no-adversary
-    baseline), computed with the same offset machinery."""
+def mixed_policy_values(lie_prob, params: ModelParams) -> np.ndarray:
+    """Expected loss of every prefix horizon r = 0..N of an offline policy
+    that lies at stage k with probability ``lie_prob[k]``, independently of
+    everything else (a scalar applies to every stage).
+
+    ``out[r]`` is the expected loss of the first r stages, so one pass at
+    horizon N serves every shorter horizon; 0/1 probabilities evaluate a
+    deterministic policy.  The offset distribution after k stages lives on
+    [-k, k]: a lie moves it +1 when the honest expert is right, a truth -1
+    when it is wrong.
+    """
     n = params.horizon
+    try:
+        p = np.broadcast_to(np.asarray(lie_prob, dtype=float), (n,))
+    except ValueError as exc:
+        raise ValueError(f"lie_prob must be a scalar or have {n} entries") from exc
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("lie probabilities must lie in [0, 1]")
     mu = params.mu
     rho = weight_power(np.arange(-n, n + 1), params.rho0, params)
-    q_r = params.q_vec(rho)
-    q_1r = params.q_vec(1.0 - rho)
-    q1 = params.q(1.0)
-    q0 = params.q(0.0)
-    p_split = mu * (1.0 - mu)
-    masses = np.zeros(2 * n + 1)
-    masses[n] = 1.0
-    total = 0.0
-    for _ in range(n):
-        total += p_split * float(masses @ q_r)
-        total += p_split * float(masses @ q_1r)
-        total += ((1.0 - mu) ** 2 * q1 + mu**2 * q0) * float(masses.sum())
-        nxt = (mu**2 + (1.0 - mu) ** 2) * masses
-        nxt[1:] += p_split * masses[:-1]
-        nxt[:-1] += p_split * masses[1:]
+    lie_terms = mu * params.q_vec(rho) + (1.0 - mu) * params.q(1.0)
+    truth_terms = (1.0 - mu) * params.q_vec(1.0 - rho) + mu * params.q(0.0)
+    out = np.zeros(n + 1)
+    masses = np.ones(1)
+    for k in range(n):
+        lie = float(p[k])
+        window = slice(n - k, n + k + 1)
+        stage = lie * float(masses @ lie_terms[window])
+        stage += (1.0 - lie) * float(masses @ truth_terms[window])
+        out[k + 1] = out[k] + stage
+        nxt = np.zeros(masses.size + 2)
+        nxt[1:-1] = (lie * (1.0 - mu) + (1.0 - lie) * mu) * masses
+        nxt[2:] += lie * mu * masses
+        nxt[:-2] += (1.0 - lie) * (1.0 - mu) * masses
         masses = nxt
-    return total
+    return out
+
+
+def two_honest_values(params: ModelParams) -> np.ndarray:
+    """Expected loss over every horizon r = 0..N when the adversary slot is
+    filled by a second independent honest expert of the same accuracy (the
+    no-adversary baseline): a policy that lies with probability 1 - mu."""
+    return mixed_policy_values(1.0 - params.mu, params)
+
+
+def two_honest_value(params: ModelParams) -> float:
+    """The no-adversary baseline over the full horizon."""
+    return float(two_honest_values(params)[-1])
 
 
 def policy_value(policy: OfflinePolicy, params: ModelParams) -> float:

@@ -2,10 +2,14 @@
 
 The two-expert solver works on the reduced integer-offset state space: after
 k stages the adversary's relative weight can only sit at one of 2k+1 offsets
-from the start, so the full horizon needs O(N^2) state evaluations.  The
+from the start, so the full horizon needs O(N^2) state evaluations.  State
+(k, j) of a horizon-N solve is the start of a horizon N-k problem shifted by
+offset j, so the values-only pass keeps one stage in O(N) memory and reads
+the optimum of every horizon 0..N off offset 0 as it goes.  The full table
+(actions and ties included) is only built when a policy is to be played.  The
 module also contains the exact K-expert generalization on a mistake-count
 grid, a per-realization clairvoyant solver with its Monte Carlo harness, and
-the closed-form baseline of an adversary with no outcome information.
+the baseline of an adversary with no outcome information.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GuardError, ModelParams, weight_power
+from .exact_eval import mixed_policy_values
 from .policies import Decision
 
 __all__ = [
@@ -25,11 +30,13 @@ __all__ = [
     "MCResult",
     "solve_two_expert",
     "optimal_value",
+    "optimal_values",
     "simulate_online",
     "solve_k_expert",
     "clairvoyant_value",
     "monte_carlo_k_expert",
     "no_information_baseline",
+    "no_information_values",
     "no_info_conditional_losses",
 ]
 
@@ -87,16 +94,32 @@ class ValueTable:
             raise ValueError(f"offset {j} unreachable at stage {k}")
 
 
-def solve_two_expert(params: ModelParams) -> ValueTable:
-    """Fill the two-expert value table by backward induction over offsets.
-
-    At each state the adversary weighs lying (cost 1 - mu + mu*rho, offset
-    +1 with probability mu) against telling the truth (cost
-    (1 - mu)(1 - rho), offset -1 with probability 1 - mu); derived for the
-    absolute loss only.
-    """
+def _require_absolute(params: ModelParams) -> None:
     if not params.is_absolute:
         raise ValueError("the online recursion is derived for the absolute loss only")
+
+
+def _bellman_step(
+    v_next: np.ndarray, rho: np.ndarray, mu: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected continuation loss of lying and of telling the truth at every
+    offset of one stage, given the next stage's values on a support one wider
+    on each side.
+
+    Lying costs 1 - mu + mu*rho and moves the offset +1 with probability mu;
+    telling the truth costs (1 - mu)(1 - rho) and moves it -1 with
+    probability 1 - mu (absolute loss only).
+    """
+    v_same = v_next[1:-1]
+    lie = (1.0 - mu + mu * rho) + mu * v_next[2:] + (1.0 - mu) * v_same
+    truth = (1.0 - mu) * (1.0 - rho) + (1.0 - mu) * v_next[:-2] + mu * v_same
+    return lie, truth
+
+
+def solve_two_expert(params: ModelParams) -> ValueTable:
+    """Fill the two-expert value table by backward induction over offsets,
+    keeping every stage's values, maximizing actions and tie flags."""
+    _require_absolute(params)
     n = params.horizon
     mu = params.mu
     rho_all = weight_power(np.arange(-n, n + 1), params.rho0, params)
@@ -106,11 +129,7 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
     values[n] = np.zeros(2 * n + 1)
     states = 0
     for k in range(n - 1, -1, -1):
-        rho = rho_all[n - k : n + k + 1]
-        v_next = values[k + 1]
-        v_same = v_next[1:-1]
-        lie = (1.0 - mu + mu * rho) + mu * v_next[2:] + (1.0 - mu) * v_same
-        truth = (1.0 - mu) * (1.0 - rho) + (1.0 - mu) * v_next[:-2] + mu * v_same
+        lie, truth = _bellman_step(values[k + 1], rho_all[n - k : n + k + 1], mu)
         values[k] = np.maximum(lie, truth)
         diff = lie - truth
         lie_optimal[k] = diff >= 0.0
@@ -120,9 +139,29 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
     return ValueTable(params, values, lie_optimal, tie_flags, states)
 
 
+def optimal_values(params: ModelParams) -> np.ndarray:
+    """Optimal online expected loss of every horizon r = 0..N from
+    ``params.rho0``: ``out[r]`` equals ``solve_two_expert`` at horizon r
+    bit for bit.
+
+    One backward pass at horizon N that keeps only the current stage
+    (O(N) memory); stage k at offset 0 is the root of horizon N - k.
+    """
+    _require_absolute(params)
+    n = params.horizon
+    mu = params.mu
+    rho_all = weight_power(np.arange(-n, n + 1), params.rho0, params)
+    out = np.zeros(n + 1)
+    v = np.zeros(2 * n + 1)
+    for k in range(n - 1, -1, -1):
+        v = np.maximum(*_bellman_step(v, rho_all[n - k : n + k + 1], mu))
+        out[n - k] = v[k]
+    return out
+
+
 def optimal_value(params: ModelParams) -> float:
-    """Root value of the two-expert table: the optimal online expected loss."""
-    return solve_two_expert(params).root_value
+    """The optimal online expected loss over the full horizon."""
+    return float(optimal_values(params)[-1])
 
 
 @dataclass(frozen=True)
@@ -333,25 +372,19 @@ def no_info_conditional_losses(q: float, rho: float, mu: float) -> tuple[float, 
     return (1.0 - mu + mu * rho - q * rho, 1.0 - mu + mu * rho - (1.0 - q) * rho)
 
 
-def no_information_baseline(params: ModelParams) -> float:
-    """Exact expected loss of the coin-flip adversary (the optimum under no
-    outcome information): per stage 1 - mu + mu*rho - rho/2, taken under the
-    exact offset-distribution evolution the coin flips induce."""
+def no_information_values(params: ModelParams) -> np.ndarray:
+    """Expected loss of the coin-flip adversary (the optimum under no
+    outcome information) over every horizon r = 0..N: per stage
+    1 - mu + mu*rho - rho/2, taken under the exact offset distribution the
+    coin flips induce."""
     if not params.is_absolute:
         raise ValueError("the no-information baseline is derived for the absolute loss")
     c0, c1 = no_info_conditional_losses(0.5, params.rho0, params.mu)
     if abs(c0 - c1) > 1e-12:
         raise AssertionError("q = 1/2 must equalize the two conditional losses")
-    n = params.horizon
-    mu = params.mu
-    rho = weight_power(np.arange(-n, n + 1), params.rho0, params)
-    masses = np.zeros(2 * n + 1)
-    masses[n] = 1.0
-    total = 0.0
-    for _ in range(n):
-        total += (1.0 - mu) * float(masses.sum()) + (mu - 0.5) * float(masses @ rho)
-        nxt = 0.5 * masses
-        nxt[1:] += 0.5 * mu * masses[:-1]
-        nxt[:-1] += 0.5 * (1.0 - mu) * masses[1:]
-        masses = nxt
-    return total
+    return mixed_policy_values(0.5, params)
+
+
+def no_information_baseline(params: ModelParams) -> float:
+    """Expected loss of the coin-flip adversary over the full horizon."""
+    return float(no_information_values(params)[-1])

@@ -5,7 +5,13 @@ import math
 
 import pytest
 
-from mwadversary import ModelParams, optimal_value, policy_value
+from mwadversary import (
+    ModelParams,
+    no_information_baseline,
+    optimal_value,
+    policy_value,
+    two_honest_value,
+)
 from mwadversary.cli import ConfigError, main, parse_config_file, resolve_config
 from mwadversary.exact_eval import value_block_policy
 from mwadversary.output import fmt
@@ -208,3 +214,56 @@ def test_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("argv", [
+        ["multi-expert", "--trials", "0"],
+        ["multi-expert", "--trials", "-2"],
+        ["solve-online", "--N", "5", "--trials", "-3"],
+        ["compare", "--N", "4", "--trials", "-1"],
+    ])
+    def test_bad_trials_is_a_config_error(self, tmp_path, argv):
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["eval-offline", "solve-online", "compare", "multi-expert"])
+    @pytest.mark.parametrize("horizons", ["", ","])
+    def test_empty_horizon_list_is_a_config_error(self, tmp_path, scenario, horizons):
+        out = tmp_path / "n.csv"
+        assert main([scenario, "--N", horizons, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestHorizonGrouping:
+    """Every horizon of a (mu, rho0) group is read off one pass at the
+    group's largest N; rows keep the order the horizons were given in."""
+
+    def test_compare_matches_per_row_evaluators(self, tmp_path):
+        out = tmp_path / "grp.csv"
+        assert main(["compare", "--N", "30,10,20", "--mu", "0.3,0.7", "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert [(r[0], r[1]) for r in rows] == [
+            ("30", "0.3"), ("10", "0.3"), ("20", "0.3"),
+            ("30", "0.7"), ("10", "0.7"), ("20", "0.7"),
+        ]
+        cols = {name: header.index(name) for name in ("v_online", "v_no_adversary", "v_no_info")}
+        for row in rows:
+            p = ModelParams(epsilon=math.exp(-1.0), mu=float(row[1]), horizon=int(row[0]))
+            want = {"v_online": optimal_value(p), "v_no_adversary": two_honest_value(p),
+                    "v_no_info": no_information_baseline(p)}
+            for name, col in cols.items():
+                assert float(row[col]) == pytest.approx(want[name], rel=1e-12, abs=0.0)
+
+    def test_multi_expert_matches_per_row_two_expert_value(self, tmp_path):
+        out = tmp_path / "grp_me.csv"
+        assert main(["multi-expert", "--N", "30,10,20", "--trials", "5",
+                     "--exact_dp_max_n", "0", "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert [r[0] for r in rows] == ["30", "10", "20"]
+        col = header.index("v_two_expert")
+        for row in rows:
+            # default accuracies 0.5 x 4 and weights 1 x 5
+            p = ModelParams(epsilon=math.exp(-1.0), mu=0.5, horizon=int(row[0]), rho0=0.2)
+            assert float(row[col]) == pytest.approx(optimal_value(p), rel=1e-12, abs=0.0)

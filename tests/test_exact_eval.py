@@ -18,6 +18,7 @@ from mwadversary import (
     false_policy,
     from_blocks,
     log_telescoping_residuals,
+    mixed_policy_values,
     mw_step,
     normal_cdf,
     offset_distribution,
@@ -26,6 +27,7 @@ from mwadversary import (
     ratio_policy,
     system_prediction,
     true_policy,
+    two_honest_values,
     value_block_policy,
     value_false,
     value_true,
@@ -370,3 +372,61 @@ def test_ratio_policy_gains_over_false_policy_with_horizon():
         gaps.append(policy_value(ratio_policy(p), p) - value_false(n, 0.5, p))
     assert all(b >= a for a, b in zip(gaps, gaps[1:]))
     assert gaps[0] > 0
+
+
+def lie_text(lies):
+    return "".join("F" if lie else "T" for lie in lies)
+
+
+class TestMixedPolicyValues:
+    @pytest.mark.parametrize(
+        "mu,rho0,loss", [(0.3, 0.5, None), (0.7, 0.2, None), (0.5, 0.4, lambda y: y * y)]
+    )
+    def test_deterministic_policies_every_prefix(self, mu, rho0, loss):
+        """0/1 lie probabilities evaluate a fixed policy; entry r is the
+        brute-force value of its first r stages."""
+        rng = np.random.default_rng(5)
+        for n in range(1, 11):
+            lies = rng.random(n) < 0.5
+            values = mixed_policy_values(lies.astype(float), params(mu, n, rho0, loss=loss))
+            assert values[0] == 0.0
+            for r in range(1, n + 1):
+                pol = OfflinePolicy.from_text(lie_text(lies[:r]))
+                want = brute_force_value(pol, params(mu, r, rho0, loss=loss))
+                assert values[r] == pytest.approx(want, abs=1e-12)
+
+    def test_fractional_probabilities_average_every_policy(self):
+        """A stage-wise random policy is worth the probability-weighted
+        average of the 2^r deterministic policies, at every prefix r."""
+        lie_prob = np.array([0.9, 0.1, 0.5, 0.3, 1.0, 0.0, 0.65, 0.2])
+        mu, rho0 = 0.6, 0.35
+        values = mixed_policy_values(lie_prob, params(mu, 8, rho0))
+        for r in range(1, 9):
+            p = params(mu, r, rho0)
+            want = 0.0
+            for code in range(1 << r):
+                lies = [(code >> k) & 1 for k in range(r)]
+                weight = math.prod(lie_prob[k] if lie else 1.0 - lie_prob[k]
+                                   for k, lie in enumerate(lies))
+                if weight:
+                    want += weight * brute_force_value(OfflinePolicy.from_text(lie_text(lies)), p)
+            assert values[r] == pytest.approx(want, abs=1e-12)
+
+    def test_scalar_probability_applies_to_every_stage(self):
+        p = params(0.3, 12, 0.6)
+        assert np.array_equal(mixed_policy_values(0.25, p), mixed_policy_values([0.25] * 12, p))
+
+    def test_rejects_bad_probabilities(self):
+        p = params(horizon=3)
+        with pytest.raises(ValueError):
+            mixed_policy_values([0.5, 0.5], p)
+        with pytest.raises(ValueError):
+            mixed_policy_values([0.5, 1.5, 0.5], p)
+        with pytest.raises(ValueError):
+            mixed_policy_values(math.nan, p)
+
+
+def test_two_honest_values_every_prefix():
+    for mu in (0.2, 0.5, 0.9):
+        values = two_honest_values(params(mu=mu, horizon=40, rho0=0.3))
+        assert values == pytest.approx((1 - mu) * np.arange(41), abs=1e-9)

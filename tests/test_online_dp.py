@@ -14,7 +14,9 @@ from mwadversary import (
     monte_carlo_k_expert,
     no_info_conditional_losses,
     no_information_baseline,
+    no_information_values,
     optimal_value,
+    optimal_values,
     simulate_online,
     solve_k_expert,
     solve_two_expert,
@@ -281,3 +283,28 @@ def test_online_dominates_offline_with_strictness():
         diffs.append(optimal_value(p) - v_off)
     assert all(d >= -1e-9 for d in diffs)
     assert max(diffs) > 1e-6  # adaptivity strictly helps somewhere
+
+
+class TestOptimalValues:
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("rho0", [0.2, 0.5])
+    def test_every_prefix_is_the_full_solve(self, mu, rho0):
+        """Offset 0 at stage 60 - r of one horizon-60 pass is the root of the
+        horizon-r table, bit for bit."""
+        values = optimal_values(params(mu=mu, horizon=60, rho0=rho0))
+        assert values.shape == (61,)
+        assert values[0] == 0.0
+        for r in range(1, 61):
+            assert values[r] == solve_two_expert(params(mu=mu, horizon=r, rho0=rho0)).root_value
+
+    def test_rejects_general_loss(self):
+        with pytest.raises(ValueError):
+            optimal_values(params(loss=lambda y: y * y))
+
+
+def test_no_information_values_cost_half_per_stage_at_even_odds():
+    # at mu = 1/2 the coin-flip adversary's per-stage loss 1 - mu + mu*rho -
+    # rho/2 is 1/2 whatever the weight, so every prefix costs r/2
+    for rho0 in (0.2, 0.5):
+        values = no_information_values(params(horizon=40, rho0=rho0))
+        assert values == pytest.approx(0.5 * np.arange(41), abs=1e-12)
