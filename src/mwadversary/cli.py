@@ -46,15 +46,12 @@ from .online_dp import (
 from .output import fmt, write_csv, write_svg
 from .policies import (
     OfflinePolicy,
-    block_form,
     false_policy,
     random_policy,
     ratio_policy,
     true_policy,
 )
 from .verify import run_all
-
-SCENARIOS = ("eval-offline", "solve-online", "compare", "multi-expert", "verify")
 
 _DEFAULTS: dict[str, dict[str, str]] = {
     "eval-offline": {
@@ -90,6 +87,8 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     "verify": {"out": ""},
 }
 
+SCENARIOS = tuple(_DEFAULTS)
+
 _COMMON = {
     "epsilon": repr(math.exp(-1.0)),
     "seed": "1729",
@@ -97,11 +96,27 @@ _COMMON = {
     "max_denominator": "20",
 }
 
-_KNOWN_KEYS = {
-    "N", "mu", "rho0", "epsilon", "trials", "seed", "out", "svg", "policy",
-    "q", "accuracies", "weights", "offline_opt_max_n", "exact_dp_max_n",
-    "max_denominator",
+# every configuration key, in flag order, with the help text of its flag; a
+# config file may set these keys and no others
+_KEYS = {
+    "N": "comma list of horizons",
+    "mu": "honest accuracy (comma list pairs with rho0)",
+    "rho0": "adversary initial relative weight",
+    "epsilon": "multiplicative penalty in (0,1)",
+    "trials": "Monte Carlo trials",
+    "seed": "root RNG seed",
+    "out": "output CSV path",
+    "svg": "emit SVG charts",
+    "policy": "policies for eval-offline",
+    "q": "truth probability for the random policy",
+    "accuracies": "honest accuracies for multi-expert",
+    "weights": "initial weights (adversary first)",
+    "offline_opt_max_n": "largest N for the exhaustive column",
+    "exact_dp_max_n": "largest N for the exact K-expert column",
+    "max_denominator": "rational-approximation bound for ratio policy",
 }
+
+_NAMED_POLICIES = ("false", "true", "ratio", "random")
 
 
 class ConfigError(ValueError):
@@ -125,7 +140,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
@@ -143,6 +158,14 @@ def _floats(text: str, key: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"{key} must be a comma list of numbers, got {text!r}") from exc
+
+
+def _one(text: str, key: str, parse):
+    """The single value of a scalar key, read with ``_ints`` or ``_floats``."""
+    values = parse(text, key)
+    if len(values) != 1:
+        raise ConfigError(f"{key} must be a single value, got {text!r}")
+    return values[0]
 
 
 def _bool(text: str, key: str) -> bool:
@@ -201,18 +224,18 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
         horizons=_ints(merged.get("N", "0"), "N"),
         mus=_floats(merged.get("mu", "0.5"), "mu"),
         rho0s=_floats(merged.get("rho0", "0.5"), "rho0"),
-        epsilon=_floats(merged.get("epsilon"), "epsilon")[0],
-        trials=_ints(merged.get("trials", "0") or "0", "trials")[0],
-        seed=_ints(merged.get("seed"), "seed")[0],
+        epsilon=_one(merged["epsilon"], "epsilon", _floats),
+        trials=_one(merged.get("trials", "0"), "trials", _ints),
+        seed=_one(merged["seed"], "seed", _ints),
         out=merged.get("out", ""),
         svg=_bool(merged.get("svg", "false"), "svg"),
         policies=[p.strip() for p in merged.get("policy", "").split(",") if p.strip()],
-        q=_floats(merged.get("q", "0.5"), "q")[0],
+        q=_one(merged.get("q", "0.5"), "q", _floats),
         accuracies=_floats(merged.get("accuracies", "0.5"), "accuracies"),
         weights=_floats(merged.get("weights", "1,1"), "weights"),
-        offline_opt_max_n=_ints(merged.get("offline_opt_max_n", "14"), "offline_opt_max_n")[0],
-        exact_dp_max_n=_ints(merged.get("exact_dp_max_n", "12"), "exact_dp_max_n")[0],
-        max_denominator=_ints(merged.get("max_denominator", "20"), "max_denominator")[0],
+        offline_opt_max_n=_one(merged.get("offline_opt_max_n", "14"), "offline_opt_max_n", _ints),
+        exact_dp_max_n=_one(merged.get("exact_dp_max_n", "12"), "exact_dp_max_n", _ints),
+        max_denominator=_one(merged["max_denominator"], "max_denominator", _ints),
         # out/svg route the results but do not affect them; keeping them out
         # of the hash lets identical experiments match across destinations
         resolved={k: merged[k] for k in sorted(merged) if k not in ("out", "svg")},
@@ -225,12 +248,11 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
         raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
     if scenario == "multi-expert" and cfg.trials < 1:
         raise ConfigError(f"multi-expert needs trials >= 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.max_denominator < 1:
+        raise ConfigError(f"max_denominator must be at least 1, got {cfg.max_denominator}")
     return cfg
-
-
-def _svg_path(out: str, suffix: str) -> str:
-    stem = out[: -len(".csv")] if out.endswith(".csv") else out
-    return f"{stem}{suffix}.svg"
 
 
 def _params(cfg: ExperimentConfig, mu: float, rho0: float, n: int) -> ModelParams:
@@ -241,52 +263,73 @@ def _params(cfg: ExperimentConfig, mu: float, rho0: float, n: int) -> ModelParam
 
 
 def _build_policy(name: str, n: int, params: ModelParams, cfg: ExperimentConfig) -> OfflinePolicy:
-    if name == "false":
-        return false_policy(n)
-    if name == "true":
-        return true_policy(n)
-    if name == "ratio":
-        return ratio_policy(params, max_denominator=cfg.max_denominator)
-    if name == "random":
-        return random_policy(n, cfg.q, cfg.seed)
-    if set(name) <= {"F", "T"}:
+    if name not in _NAMED_POLICIES and not set(name) <= {"F", "T"}:
+        raise ConfigError(f"unknown policy {name!r} (use false/true/ratio/random or an F/T string)")
+    try:
+        if name == "false":
+            return false_policy(n)
+        if name == "true":
+            return true_policy(n)
+        if name == "ratio":
+            return ratio_policy(params, max_denominator=cfg.max_denominator)
+        if name == "random":
+            return random_policy(n, cfg.q, cfg.seed)
         pol = OfflinePolicy.from_text(name)
-        if pol.horizon != n:
-            raise ConfigError(
-                f"explicit policy has {pol.horizon} stages but N={n}; they must match"
-            )
-        return pol
-    raise ConfigError(f"unknown policy {name!r} (use false/true/ratio/random or an F/T string)")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if pol.horizon != n:
+        raise ConfigError(f"explicit policy has {pol.horizon} stages but N={n}; they must match")
+    return pol
 
 
-def run_eval_offline(cfg: ExperimentConfig) -> int:
+def _group_charts(cfg: ExperimentConfig, rows: list, title: str, series_of) -> list:
+    """One chart per (mu, rho0) group of rows that hold mu and rho0 in
+    columns 1 and 2; ``series_of`` turns a group's rows into its series."""
+    charts = []
+    for mu, rho0 in cfg.mu_rho_pairs:
+        group = [r for r in rows if r[1] == mu and r[2] == rho0]
+        charts.append((f"_mu{mu:g}_rho{rho0:g}", f"{title} (mu={mu:g}, rho0={rho0:g})",
+                       series_of(group)))
+    return charts
+
+
+def _columns(rows: list, columns: list[tuple[str, int]]) -> list:
+    """Series of each (label, column) against N in column 0, leaving out
+    columns that are blank in every row."""
+    ns = [r[0] for r in rows]
+    return [(label, ns, [r[col] for r in rows]) for label, col in columns
+            if any(r[col] is not None for r in rows)]
+
+
+def _write(cfg: ExperimentConfig, header: list[str], rows: list, charts: list) -> None:
+    """Write the CSV and, when svg is on, each chart beside it.  A chart is
+    (file suffix, title, series) and a series is (label, xs, ys)."""
+    write_csv(cfg.out, header, rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
+    print(f"wrote {cfg.out}")
+    if cfg.svg:
+        for suffix, title, series in charts:
+            path = f"{cfg.out.removesuffix('.csv')}{suffix}.svg"
+            write_svg(path, series, title, "stages N", "expected loss")
+            print(f"wrote {path}")
+
+
+def run_eval_offline(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "policy_name", "policy", "value"]
+    names = cfg.policies or ["false"]
+    labels = [name if name in _NAMED_POLICIES else "explicit" for name in names]
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
         for n in cfg.horizons:
             params = _params(cfg, mu, rho0, n)
-            for name in cfg.policies or ["false"]:
+            for name, label in zip(names, labels):
                 pol = _build_policy(name, n, params, cfg)
-                label = name if name in ("false", "true", "ratio", "random") else "explicit"
                 rows.append([n, mu, rho0, cfg.epsilon, label, pol.to_text(), policy_value(pol, params)])
-    write_csv(cfg.out, header, rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
-    print(f"wrote {cfg.out}")
-    if cfg.svg:
-        for mu, rho0 in cfg.mu_rho_pairs:
-            series = []
-            for name in cfg.policies or ["false"]:
-                label = name if name in ("false", "true", "ratio", "random") else "explicit"
-                pts = [(r[0], r[6]) for r in rows if r[1] == mu and r[2] == rho0 and r[4] == label]
-                if pts:
-                    series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
-            path = _svg_path(cfg.out, f"_mu{mu:g}_rho{rho0:g}")
-            write_svg(path, series, f"offline policy loss (mu={mu:g}, rho0={rho0:g})",
-                      "stages N", "expected loss")
-            print(f"wrote {path}")
-    return 0
+    return header, rows, _group_charts(cfg, rows, "offline policy loss", lambda group: [
+        (label, [r[0] for r in group if r[4] == label], [r[6] for r in group if r[4] == label])
+        for label in labels])
 
 
-def run_solve_online(cfg: ExperimentConfig) -> int:
+def run_solve_online(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "v_online", "sim_mean", "sim_stderr", "trials"]
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
@@ -299,26 +342,13 @@ def run_solve_online(cfg: ExperimentConfig) -> int:
                 sim_mean, sim_err = res.mean, res.stderr
             rows.append([n, mu, rho0, cfg.epsilon, table.root_value, sim_mean, sim_err,
                          cfg.trials or None])
-    write_csv(cfg.out, header, rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
-    print(f"wrote {cfg.out}")
-    if cfg.svg:
-        for mu, rho0 in cfg.mu_rho_pairs:
-            pts = [(r[0], r[4]) for r in rows if r[1] == mu and r[2] == rho0]
-            path = _svg_path(cfg.out, f"_mu{mu:g}_rho{rho0:g}")
-            write_svg(path, [("online optimum", [p[0] for p in pts], [p[1] for p in pts])],
-                      f"optimal online loss (mu={mu:g}, rho0={rho0:g})", "stages N",
-                      "expected loss")
-            print(f"wrote {path}")
-    return 0
+    return header, rows, _group_charts(cfg, rows, "optimal online loss",
+                                       lambda group: _columns(group, [("online optimum", 4)]))
 
 
-_COMPARE_HEADER = [
-    "N", "mu", "rho0", "epsilon", "v_false", "v_true", "v_ratio",
-    "v_offline_opt", "v_online", "v_no_adversary", "v_no_info",
-]
-
-
-def run_compare(cfg: ExperimentConfig) -> int:
+def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
+    header = ["N", "mu", "rho0", "epsilon", "v_false", "v_true", "v_ratio",
+              "v_offline_opt", "v_online", "v_no_adversary", "v_no_info"]
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
         # one backward and two forward passes at the group's largest horizon
@@ -333,9 +363,7 @@ def run_compare(cfg: ExperimentConfig) -> int:
             v_t = value_true(n, rho0, params)
             v_ratio = v_opt = None
             if n >= 2:
-                v_ratio = policy_value(
-                    ratio_policy(params, max_denominator=cfg.max_denominator), params
-                )
+                v_ratio = policy_value(_build_policy("ratio", n, params, cfg), params)
             if n <= cfg.offline_opt_max_n:
                 try:
                     _, v_opt = exhaustive_offline_optimum(params)
@@ -349,23 +377,9 @@ def run_compare(cfg: ExperimentConfig) -> int:
                 )
             rows.append([n, mu, rho0, cfg.epsilon, v_f, v_t, v_ratio, v_opt, v_on,
                          float(no_adversary[n]), float(no_info[n])])
-    write_csv(cfg.out, _COMPARE_HEADER, rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
-    print(f"wrote {cfg.out}")
-    if cfg.svg:
-        labels = dict(zip(_COMPARE_HEADER[4:], range(4, 11)))
-        for mu, rho0 in cfg.mu_rho_pairs:
-            group = [r for r in rows if r[1] == mu and r[2] == rho0]
-            ns = [r[0] for r in group]
-            series = [
-                (name, ns, [r[col] for r in group])
-                for name, col in labels.items()
-                if any(r[col] is not None for r in group)
-            ]
-            path = _svg_path(cfg.out, f"_mu{mu:g}_rho{rho0:g}")
-            write_svg(path, series, f"policy comparison (mu={mu:g}, rho0={rho0:g})",
-                      "stages N", "expected loss")
-            print(f"wrote {path}")
-    return 0
+    values = [(header[col], col) for col in range(4, len(header))]
+    return header, rows, _group_charts(cfg, rows, "policy comparison",
+                                       lambda group: _columns(group, values))
 
 
 def _k_params(cfg: ExperimentConfig, n: int) -> KExpertParams:
@@ -378,7 +392,7 @@ def _k_params(cfg: ExperimentConfig, n: int) -> KExpertParams:
         raise ConfigError(str(exc)) from exc
 
 
-def run_multi_expert(cfg: ExperimentConfig) -> int:
+def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     if len(cfg.weights) != len(cfg.accuracies) + 1:
         raise ConfigError(
             "weights must list the adversary first and then one weight per honest expert"
@@ -402,21 +416,9 @@ def run_multi_expert(cfg: ExperimentConfig) -> int:
         v_exact = solve_k_expert(kparams) if n <= cfg.exact_dp_max_n else None
         rows.append([n, cfg.epsilon, rho_adv, mu_mean, v2, mc.mean, mc.stderr, v_exact,
                      cfg.trials, kparams.n_experts, acc_text])
-    write_csv(cfg.out, header, rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
-    print(f"wrote {cfg.out}")
-    if cfg.svg:
-        ns = [r[0] for r in rows]
-        series = [
-            ("two-expert online", ns, [r[4] for r in rows]),
-            ("k-expert clairvoyant MC", ns, [r[5] for r in rows]),
-        ]
-        if any(r[7] is not None for r in rows):
-            series.append(("k-expert exact DP", ns, [r[7] for r in rows]))
-        path = _svg_path(cfg.out, "")
-        write_svg(path, series, "multi-expert vs reduced two-expert model",
-                  "stages N", "expected loss")
-        print(f"wrote {path}")
-    return 0
+    series = _columns(rows, [("two-expert online", 4), ("k-expert clairvoyant MC", 5),
+                             ("k-expert exact DP", 7)])
+    return header, rows, [("", "multi-expert vs reduced two-expert model", series)]
 
 
 def run_verify(cfg: ExperimentConfig) -> int:
@@ -432,10 +434,8 @@ def run_verify(cfg: ExperimentConfig) -> int:
     if elapsed > 300:
         print("warning: verification exceeded the 5-minute budget", file=sys.stderr)
     if cfg.out:
-        rows = [[r.name, r.passed, r.measured, r.tolerance, r.detail] for r in results]
-        write_csv(cfg.out, ["check", "passed", "measured", "tolerance", "detail"],
-                  rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
-        print(f"wrote {cfg.out}")
+        _write(cfg, ["check", "passed", "measured", "tolerance", "detail"],
+               [[r.name, r.passed, r.measured, r.tolerance, r.detail] for r in results], [])
     return 1 if failures else 0
 
 
@@ -444,7 +444,6 @@ _RUNNERS = {
     "solve-online": run_solve_online,
     "compare": run_compare,
     "multi-expert": run_multi_expert,
-    "verify": run_verify,
 }
 
 
@@ -458,21 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     for scenario in SCENARIOS:
         sp = sub.add_parser(scenario)
         sp.add_argument("--config", help="INI-style key=value file")
-        sp.add_argument("--N", help="comma list of horizons")
-        sp.add_argument("--mu", help="honest accuracy (comma list pairs with rho0)")
-        sp.add_argument("--rho0", help="adversary initial relative weight")
-        sp.add_argument("--epsilon", help="multiplicative penalty in (0,1)")
-        sp.add_argument("--trials", help="Monte Carlo trials")
-        sp.add_argument("--seed", help="root RNG seed")
-        sp.add_argument("--out", help="output CSV path")
-        sp.add_argument("--svg", nargs="?", const="true", help="emit SVG charts")
-        sp.add_argument("--policy", help="policies for eval-offline")
-        sp.add_argument("--q", help="truth probability for the random policy")
-        sp.add_argument("--accuracies", help="honest accuracies for multi-expert")
-        sp.add_argument("--weights", help="initial weights (adversary first)")
-        sp.add_argument("--offline_opt_max_n", help="largest N for the exhaustive column")
-        sp.add_argument("--exact_dp_max_n", help="largest N for the exact K-expert column")
-        sp.add_argument("--max_denominator", help="rational-approximation bound for ratio policy")
+        for key, text in _KEYS.items():
+            # a bare --svg means --svg true
+            bare = {"nargs": "?", "const": "true"} if key == "svg" else {}
+            sp.add_argument(f"--{key}", help=text, **bare)
     return parser
 
 
@@ -480,13 +468,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        cli_values = {
-            key: getattr(args, key)
-            for key in _KNOWN_KEYS
-            if hasattr(args, key) and getattr(args, key) is not None
-        }
-        cfg = resolve_config(args.scenario, file_values, cli_values)
-        return _RUNNERS[args.scenario](cfg)
+        cfg = resolve_config(args.scenario, file_values, {key: getattr(args, key) for key in _KEYS})
+        if cfg.scenario == "verify":
+            return run_verify(cfg)
+        _write(cfg, *_RUNNERS[cfg.scenario](cfg))
+        return 0
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,14 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mwadversary
 from mwadversary import (
     ModelParams,
     no_information_baseline,
@@ -108,6 +113,44 @@ class TestCompareScenario:
         svg = tmp_path / "cmp_mu0.5_rho0.5.svg"
         text = svg.read_text()
         assert text.startswith("<svg") and "<polyline" in text
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["eval-offline", "--N", "6,9", "--mu", "0.3,0.5"],
+     ["run_mu0.3_rho0.5.svg", "run_mu0.5_rho0.5.svg"]),
+    (["solve-online", "--N", "5,8", "--rho0", "0.2,0.6"],
+     ["run_mu0.5_rho0.2.svg", "run_mu0.5_rho0.6.svg"]),
+    (["multi-expert", "--N", "4,6", "--trials", "5", "--exact_dp_max_n", "4"], ["run.svg"]),
+])
+def test_svg_per_scenario(tmp_path, capsys, argv, names):
+    out = tmp_path / "run.csv"
+    assert main(argv + ["--svg", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == names
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out}", *(f"wrote {tmp_path / name}" for name in names)]
+    for name in names:
+        text = (tmp_path / name).read_text()
+        assert text.startswith("<svg") and "<polyline" in text
+
+
+def test_svg_leaves_out_blank_columns(tmp_path):
+    out = tmp_path / "me.csv"
+    argv = ["multi-expert", "--N", "4,6", "--trials", "5", "--svg", "--out", str(out)]
+    assert main(argv + ["--exact_dp_max_n", "0"]) == 0
+    text = (tmp_path / "me.svg").read_text()
+    assert "k-expert clairvoyant MC" in text and "k-expert exact DP" not in text
+    assert main(argv + ["--exact_dp_max_n", "6"]) == 0
+    assert "k-expert exact DP" in (tmp_path / "me.svg").read_text()
+
+
+def test_python_m_mwadversary_version():
+    src = str(Path(mwadversary.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "mwadversary", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == f"mwadversary {mwadversary.__version__}\n"
 
 
 class TestEvalOfflineScenario:
@@ -233,6 +276,29 @@ class TestConfigRejections:
     def test_empty_horizon_list_is_a_config_error(self, tmp_path, scenario, horizons):
         out = tmp_path / "n.csv"
         assert main([scenario, "--N", horizons, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["epsilon", "trials", "seed", "q", "offline_opt_max_n",
+                                     "exact_dp_max_n", "max_denominator"])
+    @pytest.mark.parametrize("value", ["", ",", "1,2"])
+    def test_scalar_key_takes_exactly_one_value(self, tmp_path, capsys, key, value):
+        out = tmp_path / "s.csv"
+        assert main(["compare", "--N", "4", f"--{key}", value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-offline", "--policy", "random", "--q", "1.5"],
+        ["eval-offline", "--policy", "ratio", "--N", "1"],
+        ["compare", "--N", "4", "--max_denominator", "0"],
+        ["solve-online", "--N", "5", "--trials", "3", "--seed", "-1"],
+        ["multi-expert", "--N", "5", "--trials", "3", "--seed", "-1"],
+        ["eval-offline", "--policy", "random", "--seed", "-1"],
+    ])
+    def test_bad_policy_or_seed_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "p.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config:")
         assert not out.exists()
 
 
