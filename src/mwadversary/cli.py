@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -96,26 +97,6 @@ _COMMON = {
     "max_denominator": "20",
 }
 
-# every configuration key, in flag order, with the help text of its flag; a
-# config file may set these keys and no others
-_KEYS = {
-    "N": "comma list of horizons",
-    "mu": "honest accuracy (comma list pairs with rho0)",
-    "rho0": "adversary initial relative weight",
-    "epsilon": "multiplicative penalty in (0,1)",
-    "trials": "Monte Carlo trials",
-    "seed": "root RNG seed",
-    "out": "output CSV path",
-    "svg": "emit SVG charts",
-    "policy": "policies for eval-offline",
-    "q": "truth probability for the random policy",
-    "accuracies": "honest accuracies for multi-expert",
-    "weights": "initial weights (adversary first)",
-    "offline_opt_max_n": "largest N for the exhaustive column",
-    "exact_dp_max_n": "largest N for the exact K-expert column",
-    "max_denominator": "rational-approximation bound for ratio policy",
-}
-
 _NAMED_POLICIES = ("false", "true", "ratio", "random")
 
 
@@ -146,26 +127,27 @@ def parse_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def _ints(text: str, key: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a comma list of integers, got {text!r}") from exc
+def _list(cast, kind: str):
+    """Parser of a comma list of ``cast`` values (``kind`` in its errors)."""
+    def parse(text: str, key: str) -> list:
+        try:
+            return [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be a comma list of {kind}, got {text!r}") from exc
+    return parse
 
 
-def _floats(text: str, key: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a comma list of numbers, got {text!r}") from exc
+_ints, _floats = _list(int, "integers"), _list(float, "numbers")
 
 
-def _one(text: str, key: str, parse):
-    """The single value of a scalar key, read with ``_ints`` or ``_floats``."""
-    values = parse(text, key)
-    if len(values) != 1:
-        raise ConfigError(f"{key} must be a single value, got {text!r}")
-    return values[0]
+def _one(parse):
+    """Parser of a scalar key: the single value of a comma-list ``parse``."""
+    def one(text: str, key: str):
+        values = parse(text, key)
+        if len(values) != 1:
+            raise ConfigError(f"{key} must be a single value, got {text!r}")
+        return values[0]
+    return one
 
 
 def _bool(text: str, key: str) -> bool:
@@ -177,26 +159,49 @@ def _bool(text: str, key: str) -> bool:
     raise ConfigError(f"{key} must be a boolean, got {text!r}")
 
 
+# every configuration key, in flag order, with the ExperimentConfig field it
+# sets, its parser and the help text of its flag; a config file may set these
+# keys and no others
+_KEYS = {
+    "N": ("horizons", _ints, "comma list of horizons"),
+    "mu": ("mus", _floats, "honest accuracy (comma list pairs with rho0)"),
+    "rho0": ("rho0s", _floats, "adversary initial relative weight"),
+    "epsilon": ("epsilon", _one(_floats), "multiplicative penalty in (0,1)"),
+    "trials": ("trials", _one(_ints), "Monte Carlo trials"),
+    "seed": ("seed", _one(_ints), "root RNG seed"),
+    "out": ("out", lambda text, key: text, "output CSV path"),
+    "svg": ("svg", _bool, "emit SVG charts"),
+    "policy": ("policies", _list(str.strip, "names"), "policies for eval-offline"),
+    "q": ("q", _one(_floats), "truth probability for the random policy"),
+    "accuracies": ("accuracies", _floats, "honest accuracies for multi-expert"),
+    "weights": ("weights", _floats, "initial weights (adversary first)"),
+    "offline_opt_max_n": ("offline_opt_max_n", _one(_ints), "largest N for the exhaustive column"),
+    "exact_dp_max_n": ("exact_dp_max_n", _one(_ints), "largest N for the exact K-expert column"),
+    "max_denominator": ("max_denominator", _one(_ints), "rational-approximation bound for ratio policy"),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration for one scenario run."""
+    """Resolved configuration for one scenario run; a key the scenario neither
+    defaults nor receives leaves its field empty, and the scenario never reads it."""
 
     scenario: str
-    horizons: list[int]
-    mus: list[float]
-    rho0s: list[float]
-    epsilon: float
-    trials: int
-    seed: int
-    out: str
-    svg: bool
-    policies: list[str]
-    q: float
-    accuracies: list[float]
-    weights: list[float]
-    offline_opt_max_n: int
-    exact_dp_max_n: int
-    max_denominator: int
+    horizons: list[int] = field(default_factory=list)
+    mus: list[float] = field(default_factory=list)
+    rho0s: list[float] = field(default_factory=list)
+    epsilon: float = 0.0
+    trials: int = 0
+    seed: int = 0
+    out: str = ""
+    svg: bool = False
+    policies: list[str] = field(default_factory=list)
+    q: float = 0.0
+    accuracies: list[float] = field(default_factory=list)
+    weights: list[float] = field(default_factory=list)
+    offline_opt_max_n: int = 0
+    exact_dp_max_n: int = 0
+    max_denominator: int = 0
     resolved: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -208,7 +213,10 @@ class ExperimentConfig:
             rhos = rhos * len(mus)
         if len(mus) != len(rhos):
             raise ConfigError("mu and rho0 lists must pair up (equal length or length 1)")
-        return list(zip(mus, rhos))
+        pairs = list(zip(mus, rhos))
+        if len(set(pairs)) != len(pairs):
+            raise ConfigError(f"every (mu, rho0) pair must be distinct, got {pairs}")
+        return pairs
 
 
 def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[str, str]) -> ExperimentConfig:
@@ -219,29 +227,19 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
     merged.update(file_values)
     merged.update({k: v for k, v in cli_values.items() if v is not None})
 
+    # out/svg route the results but do not affect them; keeping them out of
+    # the hash lets identical experiments match across destinations
     cfg = ExperimentConfig(
-        scenario=scenario,
-        horizons=_ints(merged.get("N", "0"), "N"),
-        mus=_floats(merged.get("mu", "0.5"), "mu"),
-        rho0s=_floats(merged.get("rho0", "0.5"), "rho0"),
-        epsilon=_one(merged["epsilon"], "epsilon", _floats),
-        trials=_one(merged.get("trials", "0"), "trials", _ints),
-        seed=_one(merged["seed"], "seed", _ints),
-        out=merged.get("out", ""),
-        svg=_bool(merged.get("svg", "false"), "svg"),
-        policies=[p.strip() for p in merged.get("policy", "").split(",") if p.strip()],
-        q=_one(merged.get("q", "0.5"), "q", _floats),
-        accuracies=_floats(merged.get("accuracies", "0.5"), "accuracies"),
-        weights=_floats(merged.get("weights", "1,1"), "weights"),
-        offline_opt_max_n=_one(merged.get("offline_opt_max_n", "14"), "offline_opt_max_n", _ints),
-        exact_dp_max_n=_one(merged.get("exact_dp_max_n", "12"), "exact_dp_max_n", _ints),
-        max_denominator=_one(merged["max_denominator"], "max_denominator", _ints),
-        # out/svg route the results but do not affect them; keeping them out
-        # of the hash lets identical experiments match across destinations
-        resolved={k: merged[k] for k in sorted(merged) if k not in ("out", "svg")},
+        scenario, resolved={k: merged[k] for k in sorted(merged) if k not in ("out", "svg")}
     )
+    for key, (name, parse, _) in _KEYS.items():
+        if key in merged:
+            setattr(cfg, name, parse(merged[key], key))
     if scenario != "verify" and not cfg.out:
         raise ConfigError("an output path is required (out=... or --out)")
+    out_dir = os.path.dirname(cfg.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir} does not exist")
     if "N" in _DEFAULTS[scenario] and not cfg.horizons:
         raise ConfigError("N must list at least one horizon")
     if cfg.trials < 0:
@@ -324,9 +322,10 @@ def run_eval_offline(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
             for name, label in zip(names, labels):
                 pol = _build_policy(name, n, params, cfg)
                 rows.append([n, mu, rho0, cfg.epsilon, label, pol.to_text(), policy_value(pol, params)])
+    # a group lists each N's rows policy by policy; a series per policy, named or F/T
     return header, rows, _group_charts(cfg, rows, "offline policy loss", lambda group: [
-        (label, [r[0] for r in group if r[4] == label], [r[6] for r in group if r[4] == label])
-        for label in labels])
+        (name, [r[0] for r in group[i::len(names)]], [r[6] for r in group[i::len(names)]])
+        for i, name in enumerate(names)])
 
 
 def run_solve_online(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
@@ -457,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     for scenario in SCENARIOS:
         sp = sub.add_parser(scenario)
         sp.add_argument("--config", help="INI-style key=value file")
-        for key, text in _KEYS.items():
+        for key, (_, _, text) in _KEYS.items():
             # a bare --svg means --svg true
             bare = {"nargs": "?", "const": "true"} if key == "svg" else {}
             sp.add_argument(f"--{key}", help=text, **bare)

@@ -105,8 +105,6 @@ class OffsetDistribution:
 
     def after_lies(self, n: int, mu: float) -> "OffsetDistribution":
         """Convolve in ``n`` lying stages: each adds +1 with probability mu."""
-        if n == 0:
-            return self
         return OffsetDistribution(
             self.support_min, np.convolve(self.masses, binomial(n, mu).pmf)
         )
@@ -114,12 +112,21 @@ class OffsetDistribution:
     def after_truths(self, m: int, mu: float) -> "OffsetDistribution":
         """Convolve in ``m`` truthful stages: each adds -1 with probability
         1 - mu."""
-        if m == 0:
-            return self
         return OffsetDistribution(
             self.support_min - m,
             np.convolve(self.masses, binomial(m, 1.0 - mu).pmf[::-1]),
         )
+
+
+def _stage_costs(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Expected one-stage loss of lying and of telling the truth at every
+    offset j = -N..N (index j + N): a lie costs Q(rho_j) when the honest
+    expert is right and Q(1) when it errs, a truth Q(0) and Q(1 - rho_j)."""
+    n, mu = params.horizon, params.mu
+    rho = weight_power(np.arange(-n, n + 1), params.rho0, params)
+    lie = mu * params.q_vec(rho) + (1.0 - mu) * params.q(1.0)
+    truth = (1.0 - mu) * params.q_vec(1.0 - rho) + mu * params.q(0.0)
+    return lie, truth
 
 
 def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribution:
@@ -135,6 +142,19 @@ def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribu
     )
 
 
+def _straight_run(n: int, lie: bool, start, rho: float, params: ModelParams):
+    """Binomial-tail sum of a run of ``n`` lies (or truths) from offset
+    ``start`` of weight ``rho``, one sum per offset if ``start`` is a vector:
+    the run's (i+1)-th weight-moving stage occurs with probability
+    P(Bin(n, p) > i) and costs Q at the weight i moves from the start.  A
+    zero-length run sums to exactly 0.0."""
+    if not 0 <= n <= params.horizon:
+        raise ValueError(f"n must be in [0, horizon], got {n}")
+    p, step = (params.mu, 1) if lie else (1.0 - params.mu, -1)
+    w = weight_power(np.add.outer(start, step * np.arange(n + 1)), rho, params)
+    return params.q_vec(w if lie else 1.0 - w) @ binomial(n, p).tails
+
+
 def value_false(n: int, rho: float, params: ModelParams) -> float:
     """Expected loss of lying for ``n`` consecutive stages from relative
     weight ``rho``.
@@ -143,26 +163,14 @@ def value_false(n: int, rho: float, params: ModelParams) -> float:
     alone; the stages where it is correct cost Q at successively punished
     weights, which collapses to a binomial tail sum.  O(n) arithmetic.
     """
-    if not 0 <= n <= params.horizon:
-        raise ValueError(f"n must be in [0, horizon], got {n}")
-    if n == 0:
-        return 0.0
-    tails = binomial(n, params.mu).tails
-    w = weight_power(np.arange(n + 1), rho, params)
-    return n * (1.0 - params.mu) * params.q(1.0) + float(tails @ params.q_vec(w))
+    return n * (1.0 - params.mu) * params.q(1.0) + float(_straight_run(n, True, 0, rho, params))
 
 
 def value_true(n: int, rho: float, params: ModelParams) -> float:
     """Expected loss of telling the truth for ``n`` consecutive stages from
     relative weight ``rho`` (mirror of :func:`value_false` with rewarded
     weights and the honest expert's error rate)."""
-    if not 0 <= n <= params.horizon:
-        raise ValueError(f"n must be in [0, horizon], got {n}")
-    if n == 0:
-        return 0.0
-    tails = binomial(n, 1.0 - params.mu).tails
-    w = weight_power(-np.arange(n + 1), rho, params)
-    return n * params.mu * params.q(0.0) + float(tails @ params.q_vec(1.0 - w))
+    return n * params.mu * params.q(0.0) + float(_straight_run(n, False, 0, rho, params))
 
 
 def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
@@ -181,20 +189,12 @@ def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
     dist = OffsetDistribution.point(0)
     total = 0.0
     for n, m in blocks:
-        if n:
-            tails = binomial(n, mu).tails
-            offs = np.add.outer(dist.support, np.arange(n + 1))
-            w = weight_power(offs, params.rho0, params)
-            total += n * (1.0 - mu) * params.q(1.0)
-            total += float(dist.masses @ (params.q_vec(w) @ tails))
-            dist = dist.after_lies(n, mu)
-        if m:
-            tails = binomial(m, 1.0 - mu).tails
-            offs = np.add.outer(dist.support, -np.arange(m + 1))
-            w = weight_power(offs, params.rho0, params)
-            total += m * mu * params.q(0.0)
-            total += float(dist.masses @ (params.q_vec(1.0 - w) @ tails))
-            dist = dist.after_truths(m, mu)
+        total += n * (1.0 - mu) * params.q(1.0)
+        total += float(dist.masses @ _straight_run(n, True, dist.support, params.rho0, params))
+        dist = dist.after_lies(n, mu)
+        total += m * mu * params.q(0.0)
+        total += float(dist.masses @ _straight_run(m, False, dist.support, params.rho0, params))
+        dist = dist.after_truths(m, mu)
     return total
 
 
@@ -249,11 +249,7 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
             f"exhaustive search walks 2^N policies; N={n} exceeds {_EXHAUSTIVE_MAX_N}"
         )
     mu = params.mu
-    rho = weight_power(np.arange(-n, n + 1), params.rho0, params)
-    lie_terms = mu * params.q_vec(rho)
-    truth_terms = (1.0 - mu) * params.q_vec(1.0 - rho)
-    lie_const = (1.0 - mu) * params.q(1.0)
-    truth_const = mu * params.q(0.0)
+    lie_costs, truth_costs = _stage_costs(params)
 
     best_value = -math.inf
     best_policy: tuple[Decision, ...] = ()
@@ -261,8 +257,8 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
 
     def search(depth: int, masses: np.ndarray, acc: float) -> None:
         nonlocal best_value, best_policy
-        cost_lie = acc + lie_const + float(lie_terms @ masses)
-        cost_truth = acc + truth_const + float(truth_terms @ masses)
+        cost_lie = acc + float(lie_costs @ masses)
+        cost_truth = acc + float(truth_costs @ masses)
         if depth == n - 1:
             if cost_lie > best_value:
                 best_value = cost_lie
@@ -432,16 +428,14 @@ def mixed_policy_values(lie_prob, params: ModelParams) -> np.ndarray:
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("lie probabilities must lie in [0, 1]")
     mu = params.mu
-    rho = weight_power(np.arange(-n, n + 1), params.rho0, params)
-    lie_terms = mu * params.q_vec(rho) + (1.0 - mu) * params.q(1.0)
-    truth_terms = (1.0 - mu) * params.q_vec(1.0 - rho) + mu * params.q(0.0)
+    lie_costs, truth_costs = _stage_costs(params)
     out = np.zeros(n + 1)
     masses = np.ones(1)
     for k in range(n):
         lie = float(p[k])
         window = slice(n - k, n + k + 1)
-        stage = lie * float(masses @ lie_terms[window])
-        stage += (1.0 - lie) * float(masses @ truth_terms[window])
+        stage = lie * float(masses @ lie_costs[window])
+        stage += (1.0 - lie) * float(masses @ truth_costs[window])
         out[k + 1] = out[k] + stage
         nxt = np.zeros(masses.size + 2)
         nxt[1:-1] = (lie * (1.0 - mu) + (1.0 - lie) * mu) * masses

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GuardError, ModelParams, weight_power
-from .exact_eval import mixed_policy_values
+from .exact_eval import _stage_costs, mixed_policy_values
 from .policies import Decision
 
 __all__ = [
@@ -100,19 +100,15 @@ def _require_absolute(params: ModelParams) -> None:
 
 
 def _bellman_step(
-    v_next: np.ndarray, rho: np.ndarray, mu: float
+    v_next: np.ndarray, lie_cost: np.ndarray, truth_cost: np.ndarray, mu: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected continuation loss of lying and of telling the truth at every
-    offset of one stage, given the next stage's values on a support one wider
-    on each side.
-
-    Lying costs 1 - mu + mu*rho and moves the offset +1 with probability mu;
-    telling the truth costs (1 - mu)(1 - rho) and moves it -1 with
-    probability 1 - mu (absolute loss only).
-    """
+    offset of one stage, from its one-stage costs and the next stage's values
+    on a support one wider on each side: a lie moves the offset +1 with
+    probability mu, a truth -1 with probability 1 - mu."""
     v_same = v_next[1:-1]
-    lie = (1.0 - mu + mu * rho) + mu * v_next[2:] + (1.0 - mu) * v_same
-    truth = (1.0 - mu) * (1.0 - rho) + (1.0 - mu) * v_next[:-2] + mu * v_same
+    lie = lie_cost + mu * v_next[2:] + (1.0 - mu) * v_same
+    truth = truth_cost + (1.0 - mu) * v_next[:-2] + mu * v_same
     return lie, truth
 
 
@@ -121,15 +117,16 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
     keeping every stage's values, maximizing actions and tie flags."""
     _require_absolute(params)
     n = params.horizon
-    mu = params.mu
-    rho_all = weight_power(np.arange(-n, n + 1), params.rho0, params)
+    lie_costs, truth_costs = _stage_costs(params)
     values: list[np.ndarray] = [np.empty(0)] * (n + 1)
     lie_optimal: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
     tie_flags: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
     values[n] = np.zeros(2 * n + 1)
     states = 0
     for k in range(n - 1, -1, -1):
-        lie, truth = _bellman_step(values[k + 1], rho_all[n - k : n + k + 1], mu)
+        window = slice(n - k, n + k + 1)
+        lie, truth = _bellman_step(values[k + 1], lie_costs[window], truth_costs[window],
+                                   params.mu)
         values[k] = np.maximum(lie, truth)
         diff = lie - truth
         lie_optimal[k] = diff >= 0.0
@@ -149,12 +146,12 @@ def optimal_values(params: ModelParams) -> np.ndarray:
     """
     _require_absolute(params)
     n = params.horizon
-    mu = params.mu
-    rho_all = weight_power(np.arange(-n, n + 1), params.rho0, params)
+    lie_costs, truth_costs = _stage_costs(params)
     out = np.zeros(n + 1)
     v = np.zeros(2 * n + 1)
     for k in range(n - 1, -1, -1):
-        v = np.maximum(*_bellman_step(v, rho_all[n - k : n + k + 1], mu))
+        window = slice(n - k, n + k + 1)
+        v = np.maximum(*_bellman_step(v, lie_costs[window], truth_costs[window], params.mu))
         out[n - k] = v[k]
     return out
 

@@ -64,6 +64,9 @@ class TestConfig:
         bad = resolve_config("compare", {"mu": "0.3,0.5", "rho0": "0.5,0.6,0.7"}, {})
         with pytest.raises(ConfigError):
             bad.mu_rho_pairs
+        repeated = resolve_config("compare", {"mu": "0.3,0.3"}, {})
+        with pytest.raises(ConfigError, match="distinct"):
+            repeated.mu_rho_pairs
 
     def test_exit_code_invalid_config(self, tmp_path):
         assert main(["compare", "--mu", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
@@ -170,6 +173,18 @@ class TestEvalOfflineScenario:
         assert float(explicit[6]) == pytest.approx(
             value_block_policy(block_form(OfflinePolicy.from_text("FTFFTFFFT")), p), abs=1e-12
         )
+
+    def test_chart_has_one_series_per_explicit_policy(self, tmp_path):
+        out = tmp_path / "ex.csv"
+        assert main(["eval-offline", "--N", "6", "--policy", "FTFTFT,TTTFFF,false", "--svg",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        assert [row[4] for row in rows] == ["explicit", "explicit", "false"]
+        text = (tmp_path / "ex_mu0.5_rho0.5.svg").read_text()
+        labels = [line.split(">")[1].split("<")[0] for line in text.splitlines()
+                  if line.startswith("<text") and 'fill="#' in line]
+        assert labels == ["FTFTFT", "TTTFFF", "false"]
+        assert text.count("<polyline") == 3
 
     def test_explicit_policy_horizon_mismatch(self, tmp_path):
         rc = main(["eval-offline", "--N", "5", "--policy", "FT", "--out",
@@ -300,6 +315,31 @@ class TestConfigRejections:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid config:")
         assert not out.exists()
+
+    def test_missing_output_directory_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert main(["compare", "--N", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid config: output directory {out.parent} does not exist\n")
+        assert main(["verify", "--out", str(out)]) == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("compare", ["compare", "--N", "4,8,12", "--mu", "0.3,0.7", "--offline_opt_max_n", "12"]),
+    ("eval_offline", ["eval-offline", "--N", "9", "--mu", "0.3,0.5",
+                      "--policy", "false,true,ratio,random,FTFTFTFTF"]),
+    ("solve_online", ["solve-online", "--N", "10,20", "--mu", "0.3,0.7", "--trials", "50"]),
+    ("multi_expert", ["multi-expert", "--N", "5,10", "--trials", "20", "--exact_dp_max_n", "8"]),
+])
+def test_csv_matches_golden_bytes(tmp_path, name, argv):
+    """Refactors keep the CSV bytes: each call rewrites its committed file
+    in tests/golden exactly."""
+    out = tmp_path / f"{name}.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 class TestHorizonGrouping:

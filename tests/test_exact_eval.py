@@ -230,8 +230,10 @@ class TestExhaustiveOptimum:
         assert pol == false_policy(2)
         assert val == pytest.approx(1.442235, abs=1e-6)
 
-    def test_matches_full_enumeration(self):
-        p = params(mu=0.62, horizon=6, rho0=0.4)
+    @pytest.mark.parametrize("loss", [None, lambda y: y * y, math.sqrt],
+                             ids=["absolute", "squared", "sqrt"])
+    def test_matches_full_enumeration(self, loss):
+        p = params(mu=0.62, horizon=6, rho0=0.4, loss=loss)
         _, val = exhaustive_offline_optimum(p)
         best = max(
             brute_force_value(OfflinePolicy.from_text(format(c, "06b").replace("0", "F").replace("1", "T")), p)
