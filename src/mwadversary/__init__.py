@@ -36,12 +36,14 @@ from .exact_eval import (
 from .online_dp import (
     KExpertParams,
     MCResult,
+    OnlinePolicy,
     ValueTable,
     clairvoyant_value,
     monte_carlo_k_expert,
     no_info_conditional_losses,
     no_information_baseline,
     no_information_values,
+    optimal_policy,
     optimal_value,
     optimal_values,
     simulate_online,

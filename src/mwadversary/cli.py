@@ -39,10 +39,10 @@ from .online_dp import (
     KExpertParams,
     monte_carlo_k_expert,
     no_information_values,
+    optimal_policy,
     optimal_values,
     simulate_online,
     solve_k_expert,
-    solve_two_expert,
 )
 from .output import fmt, write_csv, write_svg
 from .policies import (
@@ -240,8 +240,12 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
     out_dir = os.path.dirname(cfg.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
+    if os.path.isdir(cfg.out):
+        raise ConfigError(f"output path {cfg.out} is a directory")
     if "N" in _DEFAULTS[scenario] and not cfg.horizons:
         raise ConfigError("N must list at least one horizon")
+    if len(set(cfg.horizons)) != len(cfg.horizons):
+        raise ConfigError(f"every horizon N must be distinct, got {cfg.horizons}")
     if cfg.trials < 0:
         raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
     if scenario == "multi-expert" and cfg.trials < 1:
@@ -334,12 +338,12 @@ def run_solve_online(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     for mu, rho0 in cfg.mu_rho_pairs:
         for n in cfg.horizons:
             params = _params(cfg, mu, rho0, n)
-            table = solve_two_expert(params)
+            policy = optimal_policy(params)
             sim_mean = sim_err = None
             if cfg.trials > 0:
-                res = simulate_online(params, table, cfg.trials, cfg.seed)
+                res = simulate_online(params, policy, cfg.trials, cfg.seed)
                 sim_mean, sim_err = res.mean, res.stderr
-            rows.append([n, mu, rho0, cfg.epsilon, table.root_value, sim_mean, sim_err,
+            rows.append([n, mu, rho0, cfg.epsilon, policy.root_value, sim_mean, sim_err,
                          cfg.trials or None])
     return header, rows, _group_charts(cfg, rows, "optimal online loss",
                                        lambda group: _columns(group, [("online optimum", 4)]))

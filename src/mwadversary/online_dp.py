@@ -5,17 +5,19 @@ k stages the adversary's relative weight can only sit at one of 2k+1 offsets
 from the start, so the full horizon needs O(N^2) state evaluations.  State
 (k, j) of a horizon-N solve is the start of a horizon N-k problem shifted by
 offset j, so the values-only pass keeps one stage in O(N) memory and reads
-the optimum of every horizon 0..N off offset 0 as it goes.  The full table
-(actions and ties included) is only built when a policy is to be played.  The
-module also contains the exact K-expert generalization on a mistake-count
-grid, a per-realization clairvoyant solver with its Monte Carlo harness, and
-the baseline of an adversary with no outcome information.
+the optimum of every horizon 0..N off offset 0 as it goes; a policy to be
+played keeps one bit (its action) per state, and the full table of values,
+actions and ties is the small-N oracle.  The module also contains the exact
+K-expert generalization on a mistake-count grid, a per-realization
+clairvoyant solver with its Monte Carlo harness, and the baseline of an
+adversary with no outcome information.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +28,11 @@ from .policies import Decision
 
 __all__ = [
     "ValueTable",
+    "OnlinePolicy",
     "KExpertParams",
     "MCResult",
     "solve_two_expert",
+    "optimal_policy",
     "optimal_value",
     "optimal_values",
     "simulate_online",
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
+_TRIAL_CHUNK = 250  # trials per block of draws in simulate_online
 _K_EXPERT_MAX_K = 5
 _K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
@@ -71,9 +76,6 @@ class ValueTable:
     def root_value(self) -> float:
         return float(self.values[0][0])
 
-    def offsets(self, k: int) -> np.ndarray:
-        return np.arange(-k, k + 1)
-
     def value(self, k: int, j: int) -> float:
         self._check_state(k, j)
         return float(self.values[k][j + k])
@@ -94,11 +96,6 @@ class ValueTable:
             raise ValueError(f"offset {j} unreachable at stage {k}")
 
 
-def _require_absolute(params: ModelParams) -> None:
-    if not params.is_absolute:
-        raise ValueError("the online recursion is derived for the absolute loss only")
-
-
 def _bellman_step(
     v_next: np.ndarray, lie_cost: np.ndarray, truth_cost: np.ndarray, mu: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -112,22 +109,31 @@ def _bellman_step(
     return lie, truth
 
 
+def _backward(params: ModelParams) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """One backward pass at horizon N holding only the current stage (O(N)
+    memory): for k = N-1..0, stage k's optimal values and lie/truth values."""
+    if not params.is_absolute:
+        raise ValueError("the online recursion is derived for the absolute loss only")
+    n = params.horizon
+    lie_costs, truth_costs = _stage_costs(params)
+    v = np.zeros(2 * n + 1)
+    for k in range(n - 1, -1, -1):
+        window = slice(n - k, n + k + 1)
+        lie, truth = _bellman_step(v, lie_costs[window], truth_costs[window], params.mu)
+        v = np.maximum(lie, truth)
+        yield k, v, lie, truth
+
+
 def solve_two_expert(params: ModelParams) -> ValueTable:
     """Fill the two-expert value table by backward induction over offsets,
     keeping every stage's values, maximizing actions and tie flags."""
-    _require_absolute(params)
     n = params.horizon
-    lie_costs, truth_costs = _stage_costs(params)
-    values: list[np.ndarray] = [np.empty(0)] * (n + 1)
+    values: list[np.ndarray] = [np.empty(0)] * n + [np.zeros(2 * n + 1)]
     lie_optimal: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
     tie_flags: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
-    values[n] = np.zeros(2 * n + 1)
     states = 0
-    for k in range(n - 1, -1, -1):
-        window = slice(n - k, n + k + 1)
-        lie, truth = _bellman_step(values[k + 1], lie_costs[window], truth_costs[window],
-                                   params.mu)
-        values[k] = np.maximum(lie, truth)
+    for k, v, lie, truth in _backward(params):
+        values[k] = v
         diff = lie - truth
         lie_optimal[k] = diff >= 0.0
         scale = np.maximum(1.0, np.maximum(np.abs(lie), np.abs(truth)))
@@ -136,22 +142,45 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
     return ValueTable(params, values, lie_optimal, tie_flags, states)
 
 
+@dataclass(frozen=True, eq=False)
+class _PackedActions(Sequence):
+    """Actions packed eight to a byte: ``[k]`` unpacks stage k's 2k+1 bools (offset j at j + k)."""
+
+    packed: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        k = range(len(self.packed))[k]
+        return np.unpackbits(self.packed[k], count=2 * k + 1).view(bool)
+
+
+@dataclass(frozen=True, eq=False)
+class OnlinePolicy:
+    """The optimal online adversary as played: root value and per-state actions."""
+
+    params: ModelParams
+    root_value: float
+    lie_optimal: Sequence[np.ndarray]
+
+
+def optimal_policy(params: ModelParams) -> OnlinePolicy:
+    """The optimal online policy, its actions packed eight to a byte; root
+    value and actions equal ``solve_two_expert``'s bit for bit."""
+    packed: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * params.horizon
+    for k, v, lie, truth in _backward(params):
+        packed[k] = np.packbits(lie - truth >= 0.0)
+    return OnlinePolicy(params, float(v[0]), _PackedActions(tuple(packed)))
+
+
 def optimal_values(params: ModelParams) -> np.ndarray:
     """Optimal online expected loss of every horizon r = 0..N from
     ``params.rho0``: ``out[r]`` equals ``solve_two_expert`` at horizon r
-    bit for bit.
-
-    One backward pass at horizon N that keeps only the current stage
-    (O(N) memory); stage k at offset 0 is the root of horizon N - k.
-    """
-    _require_absolute(params)
+    bit for bit, read off one pass at horizon N (offset 0 of stage N - r)."""
     n = params.horizon
-    lie_costs, truth_costs = _stage_costs(params)
     out = np.zeros(n + 1)
-    v = np.zeros(2 * n + 1)
-    for k in range(n - 1, -1, -1):
-        window = slice(n - k, n + k + 1)
-        v = np.maximum(*_bellman_step(v, lie_costs[window], truth_costs[window], params.mu))
+    for k, v, _, _ in _backward(params):
         out[n - k] = v[k]
     return out
 
@@ -184,27 +213,30 @@ def _mc_summary(losses: np.ndarray, trials: int, seed: int) -> MCResult:
 
 
 def simulate_online(
-    params: ModelParams, table: ValueTable, trials: int, seed: int
+    params: ModelParams, policy: ValueTable | OnlinePolicy, trials: int, seed: int
 ) -> MCResult:
-    """Play the table's policy through ``trials`` independent episodes with
+    """Play the policy's actions through ``trials`` independent episodes with
     honest predictions drawn i.i.d. at accuracy mu; the empirical mean loss
-    converges to the table's root value."""
-    if table.params != params:
-        raise ValueError("value table was solved for different parameters")
+    converges to the policy's root value."""
+    if policy.params != params:
+        raise ValueError("policy was solved for different parameters")
     if trials < 1:
         raise ValueError("trials must be positive")
     n = params.horizon
-    mu = params.mu
-    correct = _philox(seed).random((trials, n)) < mu
+    rng = _philox(seed)
+    # trial t's draws are row t of the seeded stream, stored stage-major
+    correct = np.empty((n, trials), dtype=bool)
+    for block in np.split(correct, range(_TRIAL_CHUNK, trials, _TRIAL_CHUNK), axis=1):
+        block[:] = (rng.random(block.shape[::-1]) < params.mu).T
     rho_all = weight_power(np.arange(-n, n + 1), params.rho0, params)
-    j = np.zeros(trials, dtype=np.int64)
+    truth_all = 1.0 - rho_all
+    i = np.full(trials, n, dtype=np.int64)  # offset j + n of every trial
     loss = np.zeros(trials)
-    for k in range(n):
-        lie = table.lie_optimal[k][j + k]
-        c = correct[:, k]
-        rho = rho_all[j + n]
-        loss += np.where(lie, np.where(c, rho, 1.0), np.where(c, 0.0, 1.0 - rho))
-        j = j + np.where(lie & c, 1, 0) - np.where(~lie & ~c, 1, 0)
+    for k, c in enumerate(correct):
+        lie = policy.lie_optimal[k][i - (n - k)]
+        loss += np.where(lie, np.where(c, rho_all[i], 1.0), np.where(c, 0.0, truth_all[i]))
+        i += lie & c
+        i -= ~lie & ~c
     return _mc_summary(loss, trials, seed)
 
 
@@ -376,9 +408,6 @@ def no_information_values(params: ModelParams) -> np.ndarray:
     coin flips induce."""
     if not params.is_absolute:
         raise ValueError("the no-information baseline is derived for the absolute loss")
-    c0, c1 = no_info_conditional_losses(0.5, params.rho0, params.mu)
-    if abs(c0 - c1) > 1e-12:
-        raise AssertionError("q = 1/2 must equalize the two conditional losses")
     return mixed_policy_values(0.5, params)
 
 

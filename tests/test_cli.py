@@ -323,6 +323,18 @@ class TestConfigRejections:
             f"invalid config: output directory {out.parent} does not exist\n")
         assert main(["verify", "--out", str(out)]) == 2
 
+    def test_output_path_naming_a_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["compare", "--N", "4", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid config: output path {tmp_path} is a directory\n")
+
+    @pytest.mark.parametrize("scenario", ["eval-offline", "solve-online", "compare", "multi-expert"])
+    def test_repeated_horizon_is_a_config_error(self, tmp_path, capsys, scenario):
+        out = tmp_path / "r.csv"
+        assert main([scenario, "--N", "4,6,4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config:")
+        assert not out.exists()
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

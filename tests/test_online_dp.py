@@ -15,6 +15,7 @@ from mwadversary import (
     no_info_conditional_losses,
     no_information_baseline,
     no_information_values,
+    optimal_policy,
     optimal_value,
     optimal_values,
     simulate_online,
@@ -138,6 +139,66 @@ class TestSimulateOnline:
         table = solve_two_expert(params(horizon=5))
         with pytest.raises(ValueError):
             simulate_online(params(horizon=6), table, trials=10, seed=0)
+
+
+def _row_major_simulation(p, table, trials, seed):
+    """Reference play of a table: every trial's draws in one (trials, N)
+    block of the seeded stream, read column by column."""
+    n = p.horizon
+    correct = np.random.Generator(np.random.Philox(key=seed)).random((trials, n)) < p.mu
+    rho_all = weight_power(np.arange(-n, n + 1), p.rho0, p)
+    j = np.zeros(trials, dtype=np.int64)
+    loss = np.zeros(trials)
+    for k in range(n):
+        lie = table.lie_optimal[k][j + k]
+        c = correct[:, k]
+        rho = rho_all[j + n]
+        loss += np.where(lie, np.where(c, rho, 1.0), np.where(c, 0.0, 1.0 - rho))
+        j = j + np.where(lie & c, 1, 0) - np.where(~lie & ~c, 1, 0)
+    return loss
+
+
+class TestOptimalPolicy:
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.7, 0.93])
+    @pytest.mark.parametrize("rho0", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
+    def test_matches_value_table(self, mu, rho0, n):
+        """Root value and every stage's actions, tie states included, are
+        the full table's bit for bit."""
+        p = params(mu=mu, horizon=n, rho0=rho0)
+        policy, table = optimal_policy(p), solve_two_expert(p)
+        assert policy.params == p
+        assert policy.root_value == table.root_value
+        assert len(policy.lie_optimal) == n
+        for k in range(n):
+            got = policy.lie_optimal[k]
+            assert got.dtype == bool and np.array_equal(got, table.lie_optimal[k])
+        assert np.array_equal(policy.lie_optimal[-1], table.lie_optimal[-1])
+
+    @pytest.mark.parametrize("mu,rho0", [(0.3, 0.5), (0.5, 0.05), (0.93, 0.9)])
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
+    def test_simulation_bit_identical(self, mu, rho0, n, trials):
+        """Lean record and table play the same per-trial losses, equal to a
+        row-major play of the whole draw block at once."""
+        p = params(mu=mu, horizon=n, rho0=rho0)
+        table = solve_two_expert(p)
+        lean = simulate_online(p, optimal_policy(p), trials, seed=1729)
+        full = simulate_online(p, table, trials, seed=1729)
+        assert np.array_equal(lean.per_trial, full.per_trial)
+        assert np.array_equal(lean.per_trial, _row_major_simulation(p, table, trials, 1729))
+        assert (lean.mean, lean.stderr) == (full.mean, full.stderr)
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 301, 1000])
+    def test_actions_are_packed_bits(self, n):
+        """The stored actions total at most N^2/8 + N bytes, one bit per
+        state plus at most one partial byte per stage."""
+        packed = optimal_policy(params(horizon=n)).lie_optimal.packed
+        assert sum(a.nbytes for a in packed) <= n * n / 8 + n
+
+    def test_rejects_general_loss(self):
+        with pytest.raises(ValueError):
+            optimal_policy(params(loss=lambda y: y * y))
 
 
 class TestSolveKExpert:
