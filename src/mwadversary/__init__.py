@@ -27,6 +27,7 @@ from .exact_eval import (
     normal_cdf,
     offset_distribution,
     policy_value,
+    ratio_policy_values,
     two_honest_value,
     two_honest_values,
     value_block_policy,
@@ -39,6 +40,7 @@ from .online_dp import (
     OnlinePolicy,
     ValueTable,
     clairvoyant_value,
+    clairvoyant_values,
     monte_carlo_k_expert,
     no_info_conditional_losses,
     no_information_baseline,

@@ -31,6 +31,7 @@ from .core import GuardError, ModelParams
 from .exact_eval import (
     exhaustive_offline_optimum,
     policy_value,
+    ratio_policy_values,
     two_honest_values,
     value_false,
     value_true,
@@ -354,19 +355,20 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
               "v_offline_opt", "v_online", "v_no_adversary", "v_no_info"]
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
-        # one backward and two forward passes at the group's largest horizon
-        # hold the online value and both baselines of every smaller one
+        # one backward pass, two forward passes and one walk over the ratio
+        # policies' shared prefix pairs hold the values of every horizon
         longest = _params(cfg, mu, rho0, max(cfg.horizons))
         online = optimal_values(longest)
         no_adversary = two_honest_values(longest)
         no_info = no_information_values(longest)
+        ratio_ns = [n for n in cfg.horizons if n >= 2]
+        ratio = dict(zip(ratio_ns, ratio_policy_values(ratio_ns, longest,
+                                                       cfg.max_denominator).tolist()))
         for n in cfg.horizons:
             params = _params(cfg, mu, rho0, n)
             v_f = value_false(n, rho0, params)
             v_t = value_true(n, rho0, params)
-            v_ratio = v_opt = None
-            if n >= 2:
-                v_ratio = policy_value(_build_policy("ratio", n, params, cfg), params)
+            v_ratio, v_opt = ratio.get(n), None
             if n <= cfg.offline_opt_max_n:
                 try:
                     _, v_opt = exhaustive_offline_optimum(params)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinomialDist, GuardError, ModelParams, binomial, weight_power
-from .policies import BlockForm, Decision, OfflinePolicy, block_form
+from .policies import BlockForm, Decision, OfflinePolicy, _ratio_pair, block_form
 
 __all__ = [
     "OffsetDistribution",
@@ -30,6 +30,7 @@ __all__ = [
     "value_false",
     "value_true",
     "value_block_policy",
+    "ratio_policy_values",
     "brute_force_value",
     "exhaustive_offline_optimum",
     "bonus_term",
@@ -43,6 +44,7 @@ __all__ = [
 
 _BRUTE_FORCE_MAX_N = 22
 _EXHAUSTIVE_MAX_N = 26
+_BREADTH_LEVELS = 10  # last stages the exhaustive search expands as one array
 _PATH_CHUNK = 1 << 20
 
 
@@ -185,17 +187,45 @@ def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
         raise ValueError(
             f"blocks cover {blocks.horizon} stages but the horizon is {params.horizon}"
         )
-    mu = params.mu
-    dist = OffsetDistribution.point(0)
-    total = 0.0
+    total, dist = 0.0, OffsetDistribution.point(0)
     for n, m in blocks:
-        total += n * (1.0 - mu) * params.q(1.0)
-        total += float(dist.masses @ _straight_run(n, True, dist.support, params.rho0, params))
-        dist = dist.after_lies(n, mu)
-        total += m * mu * params.q(0.0)
-        total += float(dist.masses @ _straight_run(m, False, dist.support, params.rho0, params))
-        dist = dist.after_truths(m, mu)
+        total, dist = _block_step(total, dist, n, m, params)
     return total
+
+
+def _block_step(total: float, dist: OffsetDistribution, n: int, m: int, params: ModelParams):
+    """Add ``n`` lies then ``m`` truths from offset law ``dist`` to ``total``; new (total, law)."""
+    mu = params.mu
+    total += n * (1.0 - mu) * params.q(1.0)
+    total += float(dist.masses @ _straight_run(n, True, dist.support, params.rho0, params))
+    dist = dist.after_lies(n, mu)
+    total += m * mu * params.q(0.0)
+    total += float(dist.masses @ _straight_run(m, False, dist.support, params.rho0, params))
+    return total, dist.after_truths(m, mu)
+
+
+def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> np.ndarray:
+    """Expected loss of ``ratio_policy`` at every horizon in ``horizons``
+    (each in 2..``params.horizon``), bit for bit ``policy_value`` of each.
+
+    All share the (b lies, a truths) prefix pairs, and horizon N is p pairs
+    then one lie run, so one walk over the pairs serves every horizon: on
+    reaching a horizon's p it charges its lie run (p = 0: all lies).
+    """
+    ns = [int(n) for n in horizons]
+    if any(not 2 <= n <= params.horizon for n in ns):
+        raise ValueError(f"horizons must lie in [2, {params.horizon}], got {ns}")
+    b, a = _ratio_pair(params.mu, max_denominator)
+    pairs = [(n // 2) // (a + b) for n in ns]
+    out = np.zeros(len(ns))
+    total, dist = 0.0, OffsetDistribution.point(0)
+    for p in range(max(pairs, default=-1) + 1):
+        if p:
+            total, dist = _block_step(total, dist, b, a, params)
+        for i, n in enumerate(ns):
+            if pairs[i] == p:
+                out[i] = _block_step(total, dist, n - p * (a + b), 0, params)[0]
+    return out
 
 
 def brute_force_value(policy: OfflinePolicy, params: ModelParams) -> float:
@@ -238,10 +268,11 @@ def brute_force_value(policy: OfflinePolicy, params: ModelParams) -> float:
 def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, float]:
     """Best offline policy and its value over all 2^N decision sequences.
 
-    Depth-first search over the policy tree, carrying the running offset
-    distribution and the accumulated expected per-stage loss, so each node
-    costs O(N) instead of a full re-evaluation.  Ties prefer the policy that
-    lies at the earliest differing stage.
+    Depth-first search over the first N - L stages of the policy tree,
+    carrying the offset distribution and the accumulated expected loss; the
+    last L = min(N, 10) stages below each node expand as one (2^L, 2N+1)
+    mass array.  Ties prefer the policy that lies at the earliest differing
+    stage: rows are in lie-first order and the first maximum wins.
     """
     n = params.horizon
     if n > _EXHAUSTIVE_MAX_N:
@@ -249,39 +280,40 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
             f"exhaustive search walks 2^N policies; N={n} exceeds {_EXHAUSTIVE_MAX_N}"
         )
     mu = params.mu
-    lie_costs, truth_costs = _stage_costs(params)
+    stage_costs = np.column_stack(_stage_costs(params))  # lie, truth at each offset
+    levels = min(n, _BREADTH_LEVELS)
 
-    best_value = -math.inf
-    best_policy: tuple[Decision, ...] = ()
-    prefix: list[Decision] = []
+    def costs(masses: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        # accumulated loss of each row's lie child, then of its truth child
+        return (acc[:, None] + masses @ stage_costs).ravel()
 
-    def search(depth: int, masses: np.ndarray, acc: float) -> None:
-        nonlocal best_value, best_policy
-        cost_lie = acc + float(lie_costs @ masses)
-        cost_truth = acc + float(truth_costs @ masses)
-        if depth == n - 1:
-            if cost_lie > best_value:
-                best_value = cost_lie
-                best_policy = tuple(prefix) + (Decision.LIE,)
-            if cost_truth > best_value:
-                best_value = cost_truth
-                best_policy = tuple(prefix) + (Decision.TRUTH,)
+    def children(masses: np.ndarray) -> np.ndarray:
+        # row 2i is row i's lie child (+1 w.p. mu), row 2i+1 its truth child (-1 w.p. 1-mu)
+        lie = (1.0 - mu) * masses
+        lie[:, 1:] += mu * masses[:, :-1]
+        truth = mu * masses
+        truth[:, :-1] += (1.0 - mu) * masses[:, 1:]
+        return np.stack([lie, truth], axis=1).reshape(-1, masses.shape[1])
+
+    best_value, best_text = -math.inf, ""
+
+    def search(prefix: str, masses: np.ndarray, acc: np.ndarray) -> None:
+        nonlocal best_value, best_text
+        if len(prefix) == n - levels:
+            for _ in range(levels - 1):
+                acc, masses = costs(masses, acc), children(masses)
+            values = costs(masses, acc)
+            row = int(np.argmax(values))
+            if values[row] > best_value:
+                best_value = float(values[row])
+                best_text = prefix + format(row, f"0{levels}b").replace("0", "F").replace("1", "T")
             return
-        m_lie = (1.0 - mu) * masses
-        m_lie[1:] += mu * masses[:-1]
-        prefix.append(Decision.LIE)
-        search(depth + 1, m_lie, cost_lie)
-        prefix.pop()
-        m_truth = mu * masses
-        m_truth[:-1] += (1.0 - mu) * masses[1:]
-        prefix.append(Decision.TRUTH)
-        search(depth + 1, m_truth, cost_truth)
-        prefix.pop()
+        acc, masses = costs(masses, acc), children(masses)
+        for row in (0, 1):
+            search(prefix + "FT"[row], masses[row : row + 1], acc[row : row + 1])
 
-    start = np.zeros(2 * n + 1)
-    start[n] = 1.0
-    search(0, start, 0.0)
-    return OfflinePolicy(best_policy), best_value
+    search("", np.eye(1, 2 * n + 1, n), np.zeros(1))
+    return OfflinePolicy.from_text(best_text), best_value
 
 
 @dataclass(frozen=True)

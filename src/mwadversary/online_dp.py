@@ -8,9 +8,9 @@ offset j, so the values-only pass keeps one stage in O(N) memory and reads
 the optimum of every horizon 0..N off offset 0 as it goes; a policy to be
 played keeps one bit (its action) per state, and the full table of values,
 actions and ties is the small-N oracle.  The module also contains the exact
-K-expert generalization on a mistake-count grid, a per-realization
-clairvoyant solver with its Monte Carlo harness, and the baseline of an
-adversary with no outcome information.
+K-expert generalization on a mistake-count grid, a clairvoyant solver that
+takes a block of realizations in one pass with its Monte Carlo harness, and
+the baseline of an adversary with no outcome information.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "simulate_online",
     "solve_k_expert",
     "clairvoyant_value",
+    "clairvoyant_values",
     "monte_carlo_k_expert",
     "no_information_baseline",
     "no_information_values",
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
-_TRIAL_CHUNK = 250  # trials per block of draws in simulate_online
+_TRIAL_CHUNK = 250  # trials per block of draws in simulate_online and monte_carlo_k_expert
 _K_EXPERT_MAX_K = 5
 _K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
@@ -337,36 +338,41 @@ def solve_k_expert(params: KExpertParams, max_states: int = _K_EXPERT_MAX_STATES
     return float(v.reshape(-1)[0])
 
 
-def clairvoyant_value(realized_honest, params: KExpertParams) -> float:
-    """Optimal total loss when the honest experts' realized correctness
-    sequence is known in advance.
+def clairvoyant_values(realized, params: KExpertParams) -> np.ndarray:
+    """Optimal total loss of each realization in ``realized`` (trials x (K-1)
+    x N, 1 marking a correct stage) when it is known in advance.
 
     With the honest side deterministic the only state is the adversary's own
-    mistake count, so a lie/truth decision per stage solves in O(N^2).
-    ``realized_honest`` is a (K-1) x N array with 1 marking a correct stage.
+    mistake count: one backward pass over all trials, O(N^2) per trial.
     """
-    r = np.asarray(realized_honest)
+    r = np.asarray(realized)
     honest = params.n_experts - 1
     n = params.horizon
-    if r.shape != (honest, n):
-        raise ValueError(f"realization must have shape {(honest, n)}, got {r.shape}")
+    if r.ndim != 3 or r.shape[1:] != (honest, n):
+        raise ValueError(f"realizations must have shape (trials, {honest}, {n}), got {r.shape}")
     if not np.all((r == 0) | (r == 1)):
         raise ValueError("realization entries must be 0 (wrong) or 1 (correct)")
     eps = params.epsilon
     w0 = np.array(params.initial_weights)
-    mistakes = np.cumsum(1 - r, axis=1)
-    mistakes_before = np.column_stack([np.zeros(honest, dtype=int), mistakes[:, :-1]])
-    honest_w = w0[1:, None] * eps ** mistakes_before.astype(float)  # (honest, N)
-    honest_total = honest_w.sum(axis=0)
-    honest_wrong = (honest_w * (1 - r)).sum(axis=0)
-    v = np.zeros(n + 1)  # over adversary mistake counts 0..n at stage n
+    wrong = 1 - r
+    mistakes_before = np.cumsum(wrong, axis=2) - wrong
+    honest_w = w0[1:, None] * eps ** mistakes_before.astype(float)  # (trials, honest, N)
+    honest_total = honest_w.sum(axis=1)
+    honest_wrong = (honest_w * wrong).sum(axis=1)
+    v = np.zeros((r.shape[0], n + 1))  # over adversary mistake counts 0..n at stage n
     for k in range(n - 1, -1, -1):
         adv_w = w0[0] * eps ** np.arange(k + 1, dtype=float)
-        total = adv_w + honest_total[k]
-        lie = (adv_w + honest_wrong[k]) / total + v[1 : k + 2]
-        truth = honest_wrong[k] / total + v[: k + 1]
+        total = adv_w + honest_total[:, k, None]
+        lie = (adv_w + honest_wrong[:, k, None]) / total + v[:, 1 : k + 2]
+        truth = honest_wrong[:, k, None] / total + v[:, : k + 1]
         v = np.maximum(lie, truth)
-    return float(v[0])
+    return v[:, 0]
+
+
+def clairvoyant_value(realized_honest, params: KExpertParams) -> float:
+    """Clairvoyant optimum of one realization, a (K-1) x N array with 1
+    marking a correct stage (see :func:`clairvoyant_values`)."""
+    return float(clairvoyant_values(np.asarray(realized_honest)[None], params)[0])
 
 
 def monte_carlo_k_expert(
@@ -388,10 +394,12 @@ def monte_carlo_k_expert(
     honest = params.n_experts - 1
     n = params.horizon
     mus = np.array(params.accuracies).reshape(1, honest, 1)
-    draws = _philox(seed).random((trials, honest, n)) < mus
-    losses = np.array(
-        [clairvoyant_value(draws[t].astype(int), params) for t in range(trials)]
-    )
+    rng = _philox(seed)
+    # trial t's draws are row t of the seeded stream, drawn and solved in blocks
+    losses = np.concatenate([
+        clairvoyant_values((rng.random((rows, honest, n)) < mus).astype(int), params)
+        for rows in (min(_TRIAL_CHUNK, trials - lo) for lo in range(0, trials, _TRIAL_CHUNK))
+    ])
     return _mc_summary(losses, trials, seed)
 
 

@@ -68,7 +68,7 @@ def write_svg(
     width: int = 640,
     height: int = 420,
 ) -> None:
-    """Poly-line chart of (label, xs, ys) series on shared axes."""
+    """Poly-line chart of (label, xs, ys) series on shared axes, each drawn in increasing x."""
     margin = 60
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if y is not None]
     if not pts:
@@ -109,7 +109,8 @@ def write_svg(
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         coords = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if y is not None
+            f"{sx(x):.2f},{sy(y):.2f}"
+            for x, y in sorted(zip(xs, ys), key=lambda p: p[0]) if y is not None
         )
         if coords:
             parts.append(

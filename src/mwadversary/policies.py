@@ -129,6 +129,13 @@ def true_policy(horizon: int) -> OfflinePolicy:
     return OfflinePolicy((Decision.TRUTH,) * n)
 
 
+def _ratio_pair(mu: float, max_denominator: int) -> tuple[int, int]:
+    """The ratio policy's (b lies, a truths) pair: a/b approximates mu/(1-mu)
+    with denominator at most ``max_denominator``, each count at least 1."""
+    frac = Fraction(mu / (1.0 - mu)).limit_denominator(max_denominator)
+    return max(int(frac.denominator), 1), max(int(frac.numerator), 1)
+
+
 def ratio_policy(params: ModelParams, max_denominator: int = 20) -> OfflinePolicy:
     """Alternate short lie/truth blocks, then lie for the rest of the horizon.
 
@@ -144,9 +151,7 @@ def ratio_policy(params: ModelParams, max_denominator: int = 20) -> OfflinePolic
     """
     if params.horizon < 2:
         raise ValueError("ratio policy needs horizon >= 2")
-    frac = Fraction(params.mu / (1.0 - params.mu)).limit_denominator(max_denominator)
-    a = max(int(frac.numerator), 1)
-    b = max(int(frac.denominator), 1)
+    b, a = _ratio_pair(params.mu, max_denominator)
     pairs = (params.horizon // 2) // (a + b)
     if pairs == 0:
         fallback = false_policy(params.horizon)

@@ -136,6 +136,23 @@ def test_svg_per_scenario(tmp_path, capsys, argv, names):
         assert text.startswith("<svg") and "<polyline" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--N", "30,10,20"],
+    ["eval-offline", "--N", "30,10,20"],
+    ["multi-expert", "--N", "30,10,20", "--trials", "5", "--exact_dp_max_n", "10"],
+])
+def test_svg_lines_run_in_increasing_n(tmp_path, argv):
+    out = tmp_path / "run.csv"
+    assert main(argv + ["--svg", "--out", str(out)]) == 0
+    lines = [line for svg in tmp_path.glob("*.svg") for line in svg.read_text().splitlines()
+             if line.startswith("<polyline")]
+    assert lines
+    for line in lines:
+        points = line.split('points="')[1].split('"')[0].split()
+        xs = [float(point.split(",")[0]) for point in points]
+        assert xs == sorted(xs) and len(set(xs)) == len(xs)
+
+
 def test_svg_leaves_out_blank_columns(tmp_path):
     out = tmp_path / "me.csv"
     argv = ["multi-expert", "--N", "4,6", "--trials", "5", "--svg", "--out", str(out)]

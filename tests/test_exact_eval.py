@@ -25,6 +25,7 @@ from mwadversary import (
     policy_value,
     random_policy,
     ratio_policy,
+    ratio_policy_values,
     system_prediction,
     true_policy,
     two_honest_values,
@@ -261,9 +262,55 @@ class TestExhaustiveOptimum:
         assert pol == false_policy(5)
         assert val == pytest.approx(5.0, abs=1e-12)
 
+    @pytest.mark.parametrize("loss", [None, lambda y: y * y, math.sqrt],
+                             ids=["absolute", "squared", "sqrt"])
+    def test_matches_full_enumeration_across_the_breadth_first_split(self, loss):
+        # N = 12 walks two stages depth-first above the breadth-first levels;
+        # the enumeration scores all 4096 policies with 0/1 lie vectors
+        n = 12
+        p = params(mu=0.62, horizon=n, rho0=0.4, loss=loss)
+        pol, val = exhaustive_offline_optimum(p)
+        codes = np.arange(1 << n)
+        lies = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 0
+        values = np.array([mixed_policy_values(row.astype(float), p)[-1] for row in lies])
+        best = int(np.argmax(values))
+        assert pol.to_text() == lie_text(lies[best])
+        assert val == pytest.approx(values[best], rel=1e-15)
+
+    def test_tie_break_across_the_breadth_first_split(self):
+        p = params(mu=0.5, horizon=13, loss=lambda y: 1.0)
+        pol, _ = exhaustive_offline_optimum(p)
+        assert pol == false_policy(13)
+
     def test_guard(self):
         with pytest.raises(GuardError):
             exhaustive_offline_optimum(params(horizon=27))
+
+
+class TestRatioPolicyValues:
+    @pytest.mark.parametrize("mu,rho0,horizons", [
+        (0.5, 0.5, [2, 3, 4, 5, 9, 40]),  # N = 2, 3 fall back to all lies
+        (0.3, 0.5, list(range(20, 40))),  # pairs of 10 stages: p = 1 for N = 20..39
+        (0.7, 0.2, [61, 2, 17, 3, 200, 44]),  # unsorted
+        (0.93, 0.9, [2, 7, 30, 31, 100]),
+    ])
+    def test_bit_equal_to_policy_value(self, mu, rho0, horizons):
+        got = ratio_policy_values(horizons, params(mu, max(horizons), rho0), 20)
+        for n, value in zip(horizons, got):
+            p = params(mu, n, rho0)
+            assert value == policy_value(ratio_policy(p), p)
+
+    def test_max_denominator_and_longer_params(self):
+        p = params(0.37, 300, 0.6)
+        for n, value in zip([12, 150], ratio_policy_values([12, 150], p, 3)):
+            pn = params(0.37, n, 0.6)
+            assert value == policy_value(ratio_policy(pn, max_denominator=3), pn)
+
+    def test_rejects_horizons_outside_params(self):
+        with pytest.raises(ValueError):
+            ratio_policy_values([1, 4], params(horizon=4), 20)
+        with pytest.raises(ValueError):
+            ratio_policy_values([5], params(horizon=4), 20)
 
 
 class TestBonusTerm:

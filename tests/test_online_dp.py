@@ -7,11 +7,14 @@ import pytest
 
 from mwadversary import (
     Decision,
+    ExpertState,
     KExpertParams,
     ModelParams,
     clairvoyant_value,
+    clairvoyant_values,
     exhaustive_offline_optimum,
     monte_carlo_k_expert,
+    mw_step,
     no_info_conditional_losses,
     no_information_baseline,
     no_information_values,
@@ -21,9 +24,11 @@ from mwadversary import (
     simulate_online,
     solve_k_expert,
     solve_two_expert,
+    system_prediction,
     weight_power,
 )
 from mwadversary.core import GuardError
+from mwadversary.online_dp import _philox
 
 E = math.e
 
@@ -281,6 +286,52 @@ class TestClairvoyant:
         kp = KExpertParams(epsilon=1 / E, horizon=3, accuracies=(0.5, 0.5), initial_weights=(1.0,) * 3)
         with pytest.raises(ValueError):
             clairvoyant_value(np.ones((1, 3), dtype=int), kp)
+
+
+def replayed_clairvoyant_value(realized, kp):
+    """Best total loss over all 2^N lie/truth sequences against one honest
+    realization, each replayed with mw_step/system_prediction (outcome fixed
+    to 1, which the relative encoding makes harmless)."""
+    honest, n = realized.shape
+    mw = ModelParams(epsilon=kp.epsilon, mu=0.5, horizon=n, rho0=0.5)
+    best = -math.inf
+    for code in range(1 << n):
+        state = ExpertState(np.array(kp.initial_weights))
+        loss = 0.0
+        for k in range(n):
+            predictions = [0 if (code >> k) & 1 else 1, *(int(c) for c in realized[:, k])]
+            loss += abs(system_prediction(state, predictions) - 1)
+            state = mw_step(state, predictions, 1, mw)
+        best = max(best, loss)
+    return best
+
+
+class TestClairvoyantValues:
+    @pytest.mark.parametrize("honest", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_matches_replayed_sequences(self, honest, n):
+        kp = KExpertParams(epsilon=0.4, horizon=n, accuracies=(0.6,) * honest,
+                           initial_weights=(1.0, 2.0, 0.5, 1.5)[: honest + 1])
+        realized = (np.random.default_rng(n * 10 + honest).random((4, honest, n)) < 0.6).astype(int)
+        got = clairvoyant_values(realized, kp)
+        assert got.shape == (4,)
+        for value, r in zip(got, realized):
+            assert value == pytest.approx(replayed_clairvoyant_value(r, kp), rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
+    def test_monte_carlo_blocks_equal_one_draw(self, trials):
+        kp = KExpertParams(epsilon=1 / E, horizon=9, accuracies=(0.5, 0.7, 0.3),
+                           initial_weights=(1.0,) * 4)
+        draws = (_philox(11).random((trials, 3, 9)) < np.array([0.5, 0.7, 0.3])[:, None]).astype(int)
+        want = [clairvoyant_value(d, kp) for d in draws]
+        assert np.array_equal(monte_carlo_k_expert(kp, trials, 11).per_trial, want)
+
+    def test_rejects_bad_realizations(self):
+        kp = KExpertParams(epsilon=1 / E, horizon=3, accuracies=(0.5, 0.5), initial_weights=(1.0,) * 3)
+        with pytest.raises(ValueError):
+            clairvoyant_values(np.ones((2, 3), dtype=int), kp)
+        with pytest.raises(ValueError):
+            clairvoyant_values(np.full((1, 2, 3), 2), kp)
 
 
 class TestMonteCarloKExpert:
