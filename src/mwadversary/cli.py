@@ -245,14 +245,16 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
         raise ConfigError(f"output path {cfg.out} is a directory")
     if "N" in _DEFAULTS[scenario] and not cfg.horizons:
         raise ConfigError("N must list at least one horizon")
+    if "policy" in _DEFAULTS[scenario] and not cfg.policies:
+        raise ConfigError("policy must list at least one policy")
     if len(set(cfg.horizons)) != len(cfg.horizons):
         raise ConfigError(f"every horizon N must be distinct, got {cfg.horizons}")
     if cfg.trials < 0:
         raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
     if scenario == "multi-expert" and cfg.trials < 1:
         raise ConfigError(f"multi-expert needs trials >= 1, got {cfg.trials}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if not 0 <= cfg.seed < 2**128:
+        raise ConfigError(f"seed must be in [0, 2**128), got {cfg.seed}")
     if cfg.max_denominator < 1:
         raise ConfigError(f"max_denominator must be at least 1, got {cfg.max_denominator}")
     return cfg
@@ -318,7 +320,7 @@ def _write(cfg: ExperimentConfig, header: list[str], rows: list, charts: list) -
 
 def run_eval_offline(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "policy_name", "policy", "value"]
-    names = cfg.policies or ["false"]
+    names = cfg.policies
     labels = [name if name in _NAMED_POLICIES else "explicit" for name in names]
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
@@ -415,7 +417,7 @@ def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     for n in cfg.horizons:
         kparams = _k_params(cfg, n)
         v2 = float(two_expert[n])
-        mc = monte_carlo_k_expert(kparams, cfg.trials, cfg.seed, mode="clairvoyant")
+        mc = monte_carlo_k_expert(kparams, cfg.trials, cfg.seed)
         # horizons above exact_dp_max_n leave the exact column blank; raising
         # the knob past the solver guards is a hard guard violation (exit 3)
         v_exact = solve_k_expert(kparams) if n <= cfg.exact_dp_max_n else None

@@ -85,8 +85,8 @@ class OffsetDistribution:
         object.__setattr__(self, "support_min", int(self.support_min))
 
     @classmethod
-    def point(cls, j: int = 0) -> "OffsetDistribution":
-        return cls(j, np.array([1.0]))
+    def point(cls) -> "OffsetDistribution":
+        return cls(0, np.array([1.0]))
 
     @property
     def support(self) -> np.ndarray:
@@ -131,6 +131,20 @@ def _stage_costs(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return lie, truth
 
 
+def _forward_step(masses: np.ndarray, lie: float, mu: float) -> np.ndarray:
+    """Offset mass one stage on: the last axis, over offsets -k..k, becomes
+    -k-1..k+1.  With probability ``lie`` the stage lies (+1 when the honest
+    expert is right), else it tells the truth (-1 when it errs).  The adjoint
+    of online_dp's backward step; a sure action skips the zero term."""
+    nxt = np.zeros(masses.shape[:-1] + (masses.shape[-1] + 2,))
+    nxt[..., 1:-1] = (lie * (1.0 - mu) + (1.0 - lie) * mu) * masses
+    if lie != 0.0:
+        nxt[..., 2:] += lie * mu * masses
+    if lie != 1.0:
+        nxt[..., :-2] += (1.0 - lie) * (1.0 - mu) * masses
+    return nxt
+
+
 def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribution:
     """Exact law of the offset after ``n_lies`` lies and ``m_truths`` truths
     (in any order): X - Y with X ~ Bin(n, mu) independent of
@@ -138,7 +152,7 @@ def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribu
     if n_lies < 0 or m_truths < 0:
         raise ValueError("counts must be nonnegative")
     return (
-        OffsetDistribution.point(0)
+        OffsetDistribution.point()
         .after_lies(int(n_lies), mu)
         .after_truths(int(m_truths), mu)
     )
@@ -187,7 +201,7 @@ def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
         raise ValueError(
             f"blocks cover {blocks.horizon} stages but the horizon is {params.horizon}"
         )
-    total, dist = 0.0, OffsetDistribution.point(0)
+    total, dist = 0.0, OffsetDistribution.point()
     for n, m in blocks:
         total, dist = _block_step(total, dist, n, m, params)
     return total
@@ -218,7 +232,7 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
     b, a = _ratio_pair(params.mu, max_denominator)
     pairs = [(n // 2) // (a + b) for n in ns]
     out = np.zeros(len(ns))
-    total, dist = 0.0, OffsetDistribution.point(0)
+    total, dist = 0.0, OffsetDistribution.point()
     for p in range(max(pairs, default=-1) + 1):
         if p:
             total, dist = _block_step(total, dist, b, a, params)
@@ -270,9 +284,10 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
 
     Depth-first search over the first N - L stages of the policy tree,
     carrying the offset distribution and the accumulated expected loss; the
-    last L = min(N, 10) stages below each node expand as one (2^L, 2N+1)
-    mass array.  Ties prefer the policy that lies at the earliest differing
-    stage: rows are in lie-first order and the first maximum wins.
+    last L = min(N, 10) stages below each node expand as one mass array, a
+    row per suffix over the stage's offsets.  Ties prefer the policy that
+    lies at the earliest differing stage: rows are in lie-first order and the
+    first maximum wins.
     """
     n = params.horizon
     if n > _EXHAUSTIVE_MAX_N:
@@ -285,15 +300,13 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
 
     def costs(masses: np.ndarray, acc: np.ndarray) -> np.ndarray:
         # accumulated loss of each row's lie child, then of its truth child
-        return (acc[:, None] + masses @ stage_costs).ravel()
+        k = masses.shape[1] // 2  # rows span offsets -k..k
+        return (acc[:, None] + masses @ stage_costs[n - k : n + k + 1]).ravel()
 
     def children(masses: np.ndarray) -> np.ndarray:
-        # row 2i is row i's lie child (+1 w.p. mu), row 2i+1 its truth child (-1 w.p. 1-mu)
-        lie = (1.0 - mu) * masses
-        lie[:, 1:] += mu * masses[:, :-1]
-        truth = mu * masses
-        truth[:, :-1] += (1.0 - mu) * masses[:, 1:]
-        return np.stack([lie, truth], axis=1).reshape(-1, masses.shape[1])
+        # row 2i is row i's lie child, row 2i+1 its truth child
+        pair = [_forward_step(masses, 1.0, mu), _forward_step(masses, 0.0, mu)]
+        return np.stack(pair, axis=1).reshape(-1, masses.shape[1] + 2)
 
     best_value, best_text = -math.inf, ""
 
@@ -312,7 +325,7 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
         for row in (0, 1):
             search(prefix + "FT"[row], masses[row : row + 1], acc[row : row + 1])
 
-    search("", np.eye(1, 2 * n + 1, n), np.zeros(1))
+    search("", np.ones((1, 1)), np.zeros(1))
     return OfflinePolicy.from_text(best_text), best_value
 
 
@@ -356,7 +369,7 @@ def bonus_term(blocks: BlockForm, params: ModelParams) -> BonusReport:
     """
     mu = params.mu
     var_rate = mu * (1.0 - mu)
-    dist = OffsetDistribution.point(0)
+    dist = OffsetDistribution.point()
     n_cum = 0
     m_cum = 0
     per_exact = []
@@ -469,11 +482,7 @@ def mixed_policy_values(lie_prob, params: ModelParams) -> np.ndarray:
         stage = lie * float(masses @ lie_costs[window])
         stage += (1.0 - lie) * float(masses @ truth_costs[window])
         out[k + 1] = out[k] + stage
-        nxt = np.zeros(masses.size + 2)
-        nxt[1:-1] = (lie * (1.0 - mu) + (1.0 - lie) * mu) * masses
-        nxt[2:] += lie * mu * masses
-        nxt[:-2] += (1.0 - lie) * (1.0 - mu) * masses
-        masses = nxt
+        masses = _forward_step(masses, lie, mu)
     return out
 
 

@@ -8,14 +8,14 @@ offset j, so the values-only pass keeps one stage in O(N) memory and reads
 the optimum of every horizon 0..N off offset 0 as it goes; a policy to be
 played keeps one bit (its action) per state, and the full table of values,
 actions and ties is the small-N oracle.  The module also contains the exact
-K-expert generalization on a mistake-count grid, a clairvoyant solver that
-takes a block of realizations in one pass with its Monte Carlo harness, and
-the baseline of an adversary with no outcome information.
+K-expert generalization on a mistake-count grid (one two-point average per
+honest expert, along its axis), a clairvoyant solver that takes a block of
+realizations in one pass with its Monte Carlo harness, and the baseline of
+an adversary with no outcome information.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -193,13 +193,13 @@ def optimal_value(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class MCResult:
-    """Monte Carlo summary, bit-reproducible from (seed, trials, params)."""
+    """Monte Carlo summary with every trial's loss, reproducible from (seed, trials, params)."""
 
     trials: int
     mean: float
     stderr: float
     seed: int
-    per_trial: np.ndarray | None = field(default=None, compare=False, repr=False)
+    per_trial: np.ndarray = field(compare=False, repr=False)
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -268,8 +268,9 @@ class KExpertParams:
             raise ValueError(
                 "initial_weights must list the adversary first, then every honest expert"
             )
-        if any(w <= 0.0 for w in self.initial_weights):
-            raise ValueError("initial weights must be strictly positive")
+        w = self.initial_weights
+        if not (min(w) > 0.0 and sum(w) < math.inf):  # a NaN weight makes the sum NaN
+            raise ValueError(f"initial weights must be finite and strictly positive, got {w}")
 
     @property
     def n_experts(self) -> int:
@@ -280,14 +281,17 @@ class KExpertParams:
         return self.initial_weights[0] / sum(self.initial_weights)
 
 
-def solve_k_expert(params: KExpertParams, max_states: int = _K_EXPERT_MAX_STATES) -> float:
+def solve_k_expert(params: KExpertParams) -> float:
     """Exact optimal online expected loss against K-1 honest experts.
 
     States are the honest-minus-adversary mistake-count differences, a grid
     of (2k+1)^(K-1) points at stage k (normalized weights are invariant to
-    a common shift, which removes one dimension); every stage enumerates the
-    2^(K-1) honest outcome combinations.  ``max_states`` guards the terminal
-    grid size on top of the K <= 5, N <= 60 limits.
+    a common shift, which removes one dimension).  The honest experts are
+    independent, so each action's expectation is one two-point average per
+    honest expert i along its own axis: if i is right (probability mu_i) a
+    lie lowers d_i and a truth keeps it; if i errs a lie keeps d_i and a
+    truth raises it.  Guards: K <= 5, N <= 60 and at most 2,000,000 terminal
+    states; weights that overflow double precision are a guard violation.
     """
     k_experts = params.n_experts
     n = params.horizon
@@ -296,18 +300,16 @@ def solve_k_expert(params: KExpertParams, max_states: int = _K_EXPERT_MAX_STATES
         raise GuardError(f"K={k_experts} exceeds the K <= {_K_EXPERT_MAX_K} guard")
     if n > _K_EXPERT_MAX_N:
         raise GuardError(f"N={n} exceeds the N <= {_K_EXPERT_MAX_N} guard")
-    if (2 * n + 1) ** honest > max_states:
+    states = (2 * n + 1) ** honest
+    if states > _K_EXPERT_MAX_STATES:
         raise GuardError(
-            f"(2N+1)^(K-1) = {(2 * n + 1) ** honest} states exceeds the budget {max_states}"
+            f"(2N+1)^(K-1) = {states} states exceeds the budget {_K_EXPERT_MAX_STATES}"
         )
     eps = params.epsilon
-    mus = np.array(params.accuracies)
-    w0 = np.array(params.initial_weights)
-    combos = []
-    for outcome in itertools.product((0, 1), repeat=honest):
-        s = np.array(outcome)
-        prob = float(np.prod(np.where(s == 1, mus, 1.0 - mus)))
-        combos.append((s, prob))
+    w0 = params.initial_weights
+
+    def along(a: np.ndarray, i: int, lo: int, size: int) -> np.ndarray:
+        return a[(slice(None),) * i + (slice(lo, lo + size),)]
 
     v = np.zeros((2 * n + 1,) * honest)
     for k in range(n - 1, -1, -1):
@@ -318,22 +320,16 @@ def solve_k_expert(params: KExpertParams, max_states: int = _K_EXPERT_MAX_STATES
             shape = [1] * honest
             shape[i] = size
             axis_w.append((w0[1 + i] * eps**d).reshape(shape))
-        total_w = w0[0] + sum(np.broadcast_to(a, (size,) * honest) for a in axis_w)
-        wrong_w = sum(
-            (1.0 - mus[i]) * np.broadcast_to(axis_w[i], (size,) * honest)
-            for i in range(honest)
-        )
+        total_w = w0[0] + sum(axis_w)
+        if not np.all(np.isfinite(total_w)):
+            raise GuardError(f"epsilon={eps} and N={n}: weights overflow at stage {k}")
+        wrong_w = sum((1.0 - mu) * a for mu, a in zip(params.accuracies, axis_w))
         cost_lie = (w0[0] + wrong_w) / total_w
         cost_truth = wrong_w / total_w
-        ev_lie = np.zeros((size,) * honest)
-        ev_truth = np.zeros((size,) * honest)
-        for s, prob in combos:
-            # lying shifts d_i down when honest i is correct; telling the
-            # truth shifts d_i up when honest i is wrong
-            sl_lie = tuple(slice(1 - s[i], 1 - s[i] + size) for i in range(honest))
-            sl_truth = tuple(slice(2 - s[i], 2 - s[i] + size) for i in range(honest))
-            ev_lie += prob * v[sl_lie]
-            ev_truth += prob * v[sl_truth]
+        ev_lie = ev_truth = v
+        for i, mu in enumerate(params.accuracies):
+            ev_lie = mu * along(ev_lie, i, 0, size) + (1.0 - mu) * along(ev_lie, i, 1, size)
+            ev_truth = mu * along(ev_truth, i, 1, size) + (1.0 - mu) * along(ev_truth, i, 2, size)
         v = np.maximum(cost_lie + ev_lie, cost_truth + ev_truth)
     return float(v.reshape(-1)[0])
 
@@ -363,6 +359,8 @@ def clairvoyant_values(realized, params: KExpertParams) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         adv_w = w0[0] * eps ** np.arange(k + 1, dtype=float)
         total = adv_w + honest_total[:, k, None]
+        if not np.all(total > 0.0):
+            raise GuardError(f"epsilon={eps} and N={n}: all weights underflow to 0 at stage {k}")
         lie = (adv_w + honest_wrong[:, k, None]) / total + v[:, 1 : k + 2]
         truth = honest_wrong[:, k, None] / total + v[:, : k + 1]
         v = np.maximum(lie, truth)
@@ -375,22 +373,14 @@ def clairvoyant_value(realized_honest, params: KExpertParams) -> float:
     return float(clairvoyant_values(np.asarray(realized_honest)[None], params)[0])
 
 
-def monte_carlo_k_expert(
-    params: KExpertParams, trials: int, seed: int, mode: str = "clairvoyant"
-) -> MCResult:
-    """Estimate the K-expert adversarial loss.
-
-    ``clairvoyant`` samples honest realizations and lets the adversary
-    optimize against each known sequence (an upper bound on the online
-    value); ``exact_dp`` wraps the exact online solver with stderr 0, no
-    sampling.  Deterministic given the seed.
+def monte_carlo_k_expert(params: KExpertParams, trials: int, seed: int) -> MCResult:
+    """Clairvoyant Monte Carlo estimate of the K-expert adversarial loss:
+    sample honest realizations and let the adversary optimize against each
+    known sequence (an upper bound on the online value that
+    :func:`solve_k_expert` computes exactly).  Deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if mode == "exact_dp":
-        return MCResult(trials, solve_k_expert(params), 0.0, seed, None)
-    if mode != "clairvoyant":
-        raise ValueError(f"mode must be 'clairvoyant' or 'exact_dp', got {mode!r}")
     honest = params.n_experts - 1
     n = params.horizon
     mus = np.array(params.accuracies).reshape(1, honest, 1)

@@ -65,11 +65,9 @@ def write_svg(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 640,
-    height: int = 420,
 ) -> None:
     """Poly-line chart of (label, xs, ys) series on shared axes, each drawn in increasing x."""
-    margin = 60
+    width, height, margin = 640, 420, 60
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if y is not None]
     if not pts:
         raise ValueError("nothing to plot")

@@ -326,6 +326,9 @@ class TestConfigRejections:
         ["solve-online", "--N", "5", "--trials", "3", "--seed", "-1"],
         ["multi-expert", "--N", "5", "--trials", "3", "--seed", "-1"],
         ["eval-offline", "--policy", "random", "--seed", "-1"],
+        ["solve-online", "--N", "5", "--trials", "3", "--seed", str(2**128)],
+        ["multi-expert", "--N", "5", "--trials", "3", "--seed", str(2**128)],
+        ["eval-offline", "--N", "5", "--policy", ","],
     ])
     def test_bad_policy_or_seed_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "p.csv"
@@ -351,6 +354,26 @@ class TestConfigRejections:
         assert main([scenario, "--N", "4,6,4", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid config:")
         assert not out.exists()
+
+    def test_non_finite_weights_are_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        argv = ["multi-expert", "--N", "5", "--trials", "3", "--weights", "nan,1,1,1,1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "finite and strictly positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["--N", "40", "--accuracies", "0.5", "--exact_dp_max_n", "60"], 40),
+    (["--N", "60", "--trials", "200", "--accuracies", "0.3", "--exact_dp_max_n", "0"], 60),
+])
+def test_k_expert_weight_overflow_and_underflow_are_guard_violations(tmp_path, capsys, argv, n):
+    """Weights past double range end the run (exit 3) instead of writing NaN."""
+    out = tmp_path / "k.csv"
+    assert main(["multi-expert", *argv, "--weights", "1,1", "--epsilon", "1e-9",
+                 "--out", str(out)]) == 3
+    assert f"epsilon=1e-09 and N={n}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -206,6 +206,40 @@ class TestOptimalPolicy:
             optimal_policy(params(loss=lambda y: y * y))
 
 
+def expectimax_k_expert_value(kp):
+    """Optimal online expected loss against K-1 honest experts by expectimax
+    over raw weights: at every stage the adversary picks lie or truth, and
+    the 2^(K-1) honest outcomes are averaged with their probabilities, each
+    replayed with mw_step/system_prediction (outcome fixed to 1, which the
+    relative encoding makes harmless).  Paths that reach the same raw
+    weights share one evaluation."""
+    mw = ModelParams(epsilon=kp.epsilon, mu=0.5, horizon=kp.horizon, rho0=0.5)
+    honest = len(kp.accuracies)
+    outcomes = []
+    for code in range(1 << honest):
+        correct = [(code >> i) & 1 for i in range(honest)]
+        prob = math.prod(a if c else 1.0 - a for a, c in zip(kp.accuracies, correct))
+        outcomes.append((correct, prob))
+    memo = {}
+
+    def value(state, k):
+        key = (k, state.weights.tobytes())
+        if k == kp.horizon or key in memo:
+            return memo.get(key, 0.0)
+        best = -math.inf
+        for adversary in (0, 1):  # 0 lies, 1 tells the truth
+            total = 0.0
+            for correct, prob in outcomes:
+                predictions = [adversary, *correct]
+                loss = abs(system_prediction(state, predictions) - 1)
+                total += prob * (loss + value(mw_step(state, predictions, 1, mw), k + 1))
+            best = max(best, total)
+        memo[key] = best
+        return best
+
+    return value(ExpertState(np.array(kp.initial_weights)), 0)
+
+
 class TestSolveKExpert:
     def test_two_expert_reduction(self):
         rng = np.random.default_rng(5)
@@ -232,6 +266,17 @@ class TestSolveKExpert:
             v2 = optimal_value(ModelParams(epsilon=1 / E, mu=0.5, horizon=n, rho0=0.2))
             assert abs(solve_k_expert(kp) - v2) <= 0.05 * n
 
+    @pytest.mark.parametrize("accuracies, weights, epsilon, n", [
+        ((0.3, 0.8), (1.0, 2.0, 0.5), 0.4, 5),
+        ((0.6, 0.45, 0.9), (0.7, 1.0, 2.5, 0.3), 1 / E, 5),
+        ((0.2, 0.55, 0.7, 0.85), (1.5, 0.4, 1.0, 2.0, 0.8), 0.6, 3),
+        ((0.5, 0.35, 0.65, 0.5), (1.0, 3.0, 0.2, 1.0, 1.0), 0.15, 2),
+    ])
+    def test_matches_expectimax_over_raw_weights(self, accuracies, weights, epsilon, n):
+        kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=accuracies,
+                           initial_weights=weights)
+        assert solve_k_expert(kp) == pytest.approx(expectimax_k_expert_value(kp), rel=1e-12)
+
     def test_guards(self):
         with pytest.raises(GuardError):
             solve_k_expert(
@@ -251,6 +296,20 @@ class TestSolveKExpert:
             KExpertParams(epsilon=0.5, horizon=5, accuracies=(1.0,), initial_weights=(1.0, 1.0))
         with pytest.raises(ValueError):
             KExpertParams(epsilon=0.5, horizon=5, accuracies=(0.5,), initial_weights=(1.0,))
+
+    def test_overflowing_weights_are_a_guard_violation(self):
+        # eps^-40 overflows at epsilon = 1e-9, where the two-expert solver
+        # (overflow-safe weights) still gives a finite value
+        kp = KExpertParams(epsilon=1e-9, horizon=40, accuracies=(0.5,), initial_weights=(1.0, 1.0))
+        assert math.isfinite(optimal_value(params(epsilon=1e-9, horizon=40)))
+        with pytest.raises(GuardError, match=r"epsilon=1e-09 and N=40"):
+            solve_k_expert(kp)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                         (1.0, 1e308, 1e308)])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            KExpertParams(epsilon=0.5, horizon=5, accuracies=(0.5, 0.5), initial_weights=weights)
 
 
 class TestClairvoyant:
@@ -326,6 +385,14 @@ class TestClairvoyantValues:
         want = [clairvoyant_value(d, kp) for d in draws]
         assert np.array_equal(monte_carlo_k_expert(kp, trials, 11).per_trial, want)
 
+    def test_underflowing_weights_are_a_guard_violation(self):
+        # at epsilon = 1e-9, 36 mistakes of every expert underflow all weights to 0
+        kp = KExpertParams(epsilon=1e-9, horizon=60, accuracies=(0.3,), initial_weights=(1.0, 1.0))
+        with pytest.raises(GuardError, match=r"epsilon=1e-09 and N=60"):
+            clairvoyant_values(np.zeros((2, 1, 60), dtype=int), kp)
+        with pytest.raises(GuardError, match=r"epsilon=1e-09 and N=60"):
+            monte_carlo_k_expert(kp, trials=200, seed=1729)
+
     def test_rejects_bad_realizations(self):
         kp = KExpertParams(epsilon=1 / E, horizon=3, accuracies=(0.5, 0.5), initial_weights=(1.0,) * 3)
         with pytest.raises(ValueError):
@@ -342,21 +409,10 @@ class TestMonteCarloKExpert:
         assert a.mean == b.mean and a.stderr == b.stderr
         assert np.array_equal(a.per_trial, b.per_trial)
 
-    def test_exact_dp_mode(self):
-        kp = KExpertParams(epsilon=1 / E, horizon=6, accuracies=(0.5, 0.6), initial_weights=(1.0,) * 3)
-        res = monte_carlo_k_expert(kp, trials=10, seed=1, mode="exact_dp")
-        assert res.mean == solve_k_expert(kp)
-        assert res.stderr == 0.0 and res.per_trial is None
-
     def test_clairvoyant_mean_dominates_online_in_two_expert_case(self):
         kp = KExpertParams(epsilon=1 / E, horizon=12, accuracies=(0.5,), initial_weights=(1.0, 1.0))
         res = monte_carlo_k_expert(kp, trials=300, seed=17)
         assert res.mean >= optimal_value(params(horizon=12)) - 3 * res.stderr
-
-    def test_rejects_unknown_mode(self):
-        kp = KExpertParams(epsilon=1 / E, horizon=3, accuracies=(0.5,), initial_weights=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            monte_carlo_k_expert(kp, trials=5, seed=0, mode="oracle")
 
 
 class TestNoInformationBaseline:
