@@ -212,8 +212,8 @@ class ExperimentConfig:
             mus = mus * len(rhos)
         if len(rhos) == 1 and len(mus) > 1:
             rhos = rhos * len(mus)
-        if len(mus) != len(rhos):
-            raise ConfigError("mu and rho0 lists must pair up (equal length or length 1)")
+        if len(mus) != len(rhos) or not mus:
+            raise ConfigError("mu and rho0 lists must be nonempty and pair up (equal length or length 1)")
         pairs = list(zip(mus, rhos))
         if len(set(pairs)) != len(pairs):
             raise ConfigError(f"every (mu, rho0) pair must be distinct, got {pairs}")
@@ -400,16 +400,12 @@ def _k_params(cfg: ExperimentConfig, n: int) -> KExpertParams:
 
 
 def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
-    if len(cfg.weights) != len(cfg.accuracies) + 1:
-        raise ConfigError(
-            "weights must list the adversary first and then one weight per honest expert"
-        )
+    longest = max(cfg.horizons)
+    rho_adv = _k_params(cfg, longest).adversary_relative_weight  # validates before np.mean reads them
     header = ["N", "epsilon", "rho_adv", "mu_mean", "v_two_expert", "v_k_clairvoyant",
               "v_k_clairvoyant_stderr", "v_k_exact_dp", "trials", "k_experts", "accuracies"]
     mu_mean = float(np.mean(cfg.accuracies))
     acc_text = ";".join(fmt(a) for a in cfg.accuracies)
-    longest = max(cfg.horizons)
-    rho_adv = _k_params(cfg, longest).adversary_relative_weight
     # one backward pass at the largest horizon holds the reduced model's
     # online value of every smaller one
     two_expert = optimal_values(_params(cfg, mu_mean, rho_adv, longest))

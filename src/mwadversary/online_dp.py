@@ -2,16 +2,17 @@
 
 The two-expert solver works on the reduced integer-offset state space: after
 k stages the adversary's relative weight can only sit at one of 2k+1 offsets
-from the start, so the full horizon needs O(N^2) state evaluations.  State
+from the start, so the full horizon needs O(N^2) state evaluations.  Any loss
+Q is solved, as it enters only through each offset's one-stage costs.  State
 (k, j) of a horizon-N solve is the start of a horizon N-k problem shifted by
 offset j, so the values-only pass keeps one stage in O(N) memory and reads
-the optimum of every horizon 0..N off offset 0 as it goes; a policy to be
-played keeps one bit (its action) per state, and the full table of values,
-actions and ties is the small-N oracle.  The module also contains the exact
-K-expert generalization on a mistake-count grid (one two-point average per
-honest expert, along its axis), a clairvoyant solver that takes a block of
-realizations in one pass with its Monte Carlo harness, and the baseline of
-an adversary with no outcome information.
+the optimum of every horizon 0..N off offset 0 as it goes; a played policy
+keeps one bit (its action) per state, and the full table of values, actions
+and ties is the small-N oracle.  Also here: the exact K-expert model on a
+mistake-count grid (one two-point average per honest expert, along its
+axis), a clairvoyant solver that takes a block of realizations in one pass
+with its Monte Carlo harness, and the baseline of an adversary with no
+outcome information.
 """
 
 from __future__ import annotations
@@ -112,9 +113,8 @@ def _bellman_step(
 
 def _backward(params: ModelParams) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """One backward pass at horizon N holding only the current stage (O(N)
-    memory): for k = N-1..0, stage k's optimal values and lie/truth values."""
-    if not params.is_absolute:
-        raise ValueError("the online recursion is derived for the absolute loss only")
+    memory): for k = N-1..0, stage k's optimal values and lie/truth values.
+    The loss Q enters only through the stage costs, never the transitions."""
     n = params.horizon
     lie_costs, truth_costs = _stage_costs(params)
     v = np.zeros(2 * n + 1)
@@ -217,8 +217,9 @@ def simulate_online(
     params: ModelParams, policy: ValueTable | OnlinePolicy, trials: int, seed: int
 ) -> MCResult:
     """Play the policy's actions through ``trials`` independent episodes with
-    honest predictions drawn i.i.d. at accuracy mu; the empirical mean loss
-    converges to the policy's root value."""
+    honest predictions drawn i.i.d. at accuracy mu, charging Q of each
+    stage's prediction error (rho_j, 1, 0 or 1 - rho_j); the empirical mean
+    loss converges to the policy's root value."""
     if policy.params != params:
         raise ValueError("policy was solved for different parameters")
     if trials < 1:
@@ -235,7 +236,8 @@ def simulate_online(
     loss = np.zeros(trials)
     for k, c in enumerate(correct):
         lie = policy.lie_optimal[k][i - (n - k)]
-        loss += np.where(lie, np.where(c, rho_all[i], 1.0), np.where(c, 0.0, truth_all[i]))
+        error = np.where(lie, np.where(c, rho_all[i], 1.0), np.where(c, 0.0, truth_all[i]))
+        loss += params.q_vec(error)
         i += lie & c
         i -= ~lie & ~c
     return _mc_summary(loss, trials, seed)
@@ -319,7 +321,8 @@ def solve_k_expert(params: KExpertParams) -> float:
         for i in range(honest):
             shape = [1] * honest
             shape[i] = size
-            axis_w.append((w0[1 + i] * eps**d).reshape(shape))
+            with np.errstate(over="ignore"):  # an overflow is the guard violation below
+                axis_w.append((w0[1 + i] * eps**d).reshape(shape))
         total_w = w0[0] + sum(axis_w)
         if not np.all(np.isfinite(total_w)):
             raise GuardError(f"epsilon={eps} and N={n}: weights overflow at stage {k}")

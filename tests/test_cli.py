@@ -67,6 +67,9 @@ class TestConfig:
         repeated = resolve_config("compare", {"mu": "0.3,0.3"}, {})
         with pytest.raises(ConfigError, match="distinct"):
             repeated.mu_rho_pairs
+        empty = resolve_config("compare", {"mu": "", "rho0": ","}, {})
+        with pytest.raises(ConfigError, match="nonempty"):
+            empty.mu_rho_pairs
 
     def test_exit_code_invalid_config(self, tmp_path):
         assert main(["compare", "--mu", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
@@ -163,12 +166,17 @@ def test_svg_leaves_out_blank_columns(tmp_path):
     assert "k-expert exact DP" in (tmp_path / "me.svg").read_text()
 
 
-def test_python_m_mwadversary_version():
+def _run_module(*argv):
+    """Run ``python -m mwadversary`` in a fresh process, capturing its output."""
     src = str(Path(mwadversary.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "mwadversary", "--version"],
+    return subprocess.run([sys.executable, "-m", "mwadversary", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_m_mwadversary_version():
+    proc = _run_module("--version")
     assert proc.returncode == 0
     assert proc.stdout == f"mwadversary {mwadversary.__version__}\n"
 
@@ -336,6 +344,21 @@ class TestConfigRejections:
         assert capsys.readouterr().err.startswith("invalid config:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("accuracies, weights, message", [
+        pytest.param("", "1", "need at least one honest expert", id="no-honest-expert"),
+        pytest.param("0.5", "1", "initial_weights must list the adversary first, then every honest expert",
+                     id="weights-length"),
+    ])
+    def test_bad_k_expert_inputs_are_checked_before_use(self, tmp_path, accuracies, weights, message):
+        """A fresh process prints the one config error line and nothing else
+        (no numpy warning from computing with the inputs first)."""
+        out = tmp_path / "m.csv"
+        proc = _run_module("multi-expert", "--N", "4", "--trials", "2", "--accuracies", accuracies,
+                           "--weights", weights, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"invalid config: {message}\n"
+        assert not out.exists()
+
     def test_missing_output_directory_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "x.csv"
         assert main(["compare", "--N", "4", "--out", str(out)]) == 2
@@ -372,7 +395,9 @@ def test_k_expert_weight_overflow_and_underflow_are_guard_violations(tmp_path, c
     out = tmp_path / "k.csv"
     assert main(["multi-expert", *argv, "--weights", "1,1", "--epsilon", "1e-9",
                  "--out", str(out)]) == 3
-    assert f"epsilon=1e-09 and N={n}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("guard violation: ") and err.count("\n") == 1
+    assert f"epsilon=1e-09 and N={n}" in err
     assert not out.exists()
 
 

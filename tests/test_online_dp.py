@@ -37,11 +37,16 @@ def params(mu=0.5, horizon=2, rho0=0.5, epsilon=1 / E, loss=None):
     return ModelParams(epsilon=epsilon, mu=mu, horizon=horizon, rho0=rho0, loss=loss)
 
 
-class TestSolveTwoExpert:
-    def test_rejects_general_loss(self):
-        with pytest.raises(ValueError):
-            solve_two_expert(params(loss=lambda y: y * y))
+# nondecreasing losses Q of the prediction error (None is the absolute loss)
+LOSSES = {
+    "absolute": None,
+    "squared": lambda y: y * y,
+    "sqrt": np.sqrt,
+    "capped": lambda y: np.minimum(1.0, 2.0 * y),
+}
 
+
+class TestSolveTwoExpert:
     @pytest.mark.parametrize("mu,rho0", [(0.3, 0.5), (0.5, 0.5), (0.7, 0.2)])
     def test_single_stage(self, mu, rho0):
         table = solve_two_expert(params(mu=mu, horizon=1, rho0=rho0))
@@ -158,7 +163,7 @@ def _row_major_simulation(p, table, trials, seed):
         lie = table.lie_optimal[k][j + k]
         c = correct[:, k]
         rho = rho_all[j + n]
-        loss += np.where(lie, np.where(c, rho, 1.0), np.where(c, 0.0, 1.0 - rho))
+        loss += p.q_vec(np.where(lie, np.where(c, rho, 1.0), np.where(c, 0.0, 1.0 - rho)))
         j = j + np.where(lie & c, 1, 0) - np.where(~lie & ~c, 1, 0)
     return loss
 
@@ -180,13 +185,18 @@ class TestOptimalPolicy:
             assert got.dtype == bool and np.array_equal(got, table.lie_optimal[k])
         assert np.array_equal(policy.lie_optimal[-1], table.lie_optimal[-1])
 
-    @pytest.mark.parametrize("mu,rho0", [(0.3, 0.5), (0.5, 0.05), (0.93, 0.9)])
+    @pytest.mark.parametrize("mu,rho0,loss", [
+        pytest.param(0.3, 0.5, None, id="0.3-0.5"),
+        pytest.param(0.5, 0.05, None, id="0.5-0.05"),
+        pytest.param(0.93, 0.9, None, id="0.93-0.9"),
+        pytest.param(0.7, 0.2, LOSSES["squared"], id="0.7-0.2-squared"),
+    ])
     @pytest.mark.parametrize("n", [1, 7, 60])
     @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
-    def test_simulation_bit_identical(self, mu, rho0, n, trials):
+    def test_simulation_bit_identical(self, mu, rho0, loss, n, trials):
         """Lean record and table play the same per-trial losses, equal to a
         row-major play of the whole draw block at once."""
-        p = params(mu=mu, horizon=n, rho0=rho0)
+        p = params(mu=mu, horizon=n, rho0=rho0, loss=loss)
         table = solve_two_expert(p)
         lean = simulate_online(p, optimal_policy(p), trials, seed=1729)
         full = simulate_online(p, table, trials, seed=1729)
@@ -201,19 +211,18 @@ class TestOptimalPolicy:
         packed = optimal_policy(params(horizon=n)).lie_optimal.packed
         assert sum(a.nbytes for a in packed) <= n * n / 8 + n
 
-    def test_rejects_general_loss(self):
-        with pytest.raises(ValueError):
-            optimal_policy(params(loss=lambda y: y * y))
 
-
-def expectimax_k_expert_value(kp):
-    """Optimal online expected loss against K-1 honest experts by expectimax
-    over raw weights: at every stage the adversary picks lie or truth, and
-    the 2^(K-1) honest outcomes are averaged with their probabilities, each
-    replayed with mw_step/system_prediction (outcome fixed to 1, which the
-    relative encoding makes harmless).  Paths that reach the same raw
-    weights share one evaluation."""
-    mw = ModelParams(epsilon=kp.epsilon, mu=0.5, horizon=kp.horizon, rho0=0.5)
+def expectimax_k_expert_value(kp, loss):
+    """Optimal online expected loss Q (``loss`` as in ModelParams) against
+    K-1 honest experts by expectimax over raw weights: at every stage the
+    adversary picks lie or truth, and the 2^(K-1) honest outcomes are
+    averaged with their probabilities, each replayed with
+    mw_step/system_prediction (outcome fixed to 1, which the relative
+    encoding makes harmless).  The error is the weight share of the wrong
+    experts; 1 minus the right side's share would cancel when that share
+    is near 1.  Paths that reach the same raw weights share one
+    evaluation."""
+    mw = ModelParams(epsilon=kp.epsilon, mu=0.5, horizon=kp.horizon, rho0=0.5, loss=loss)
     honest = len(kp.accuracies)
     outcomes = []
     for code in range(1 << honest):
@@ -231,13 +240,30 @@ def expectimax_k_expert_value(kp):
             total = 0.0
             for correct, prob in outcomes:
                 predictions = [adversary, *correct]
-                loss = abs(system_prediction(state, predictions) - 1)
-                total += prob * (loss + value(mw_step(state, predictions, 1, mw), k + 1))
+                error = system_prediction(state, [1 - x for x in predictions])
+                total += prob * (mw.q(error) + value(mw_step(state, predictions, 1, mw), k + 1))
             best = max(best, total)
         memo[key] = best
         return best
 
     return value(ExpertState(np.array(kp.initial_weights)), 0)
+
+
+class TestGeneralLoss:
+    @pytest.mark.parametrize("loss", list(LOSSES))
+    @pytest.mark.parametrize("mu,rho0,epsilon", [(0.3, 0.2, 1 / E), (0.5, 0.5, 0.6),
+                                                 (0.7, 0.5, 1 / E)])
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_two_expert_matches_expectimax_over_raw_weights(self, loss, mu, rho0, epsilon, n):
+        """Every two-expert entry point solves the loss Q that an oracle
+        without the offset lattice plays on raw weights."""
+        p = params(mu=mu, horizon=n, rho0=rho0, epsilon=epsilon, loss=LOSSES[loss])
+        kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=(mu,),
+                           initial_weights=(rho0, 1.0 - rho0))
+        want = expectimax_k_expert_value(kp, p.loss)
+        for got in (solve_two_expert(p).root_value, optimal_policy(p).root_value,
+                    optimal_values(p)[-1], optimal_value(p)):
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestSolveKExpert:
@@ -275,7 +301,7 @@ class TestSolveKExpert:
     def test_matches_expectimax_over_raw_weights(self, accuracies, weights, epsilon, n):
         kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=accuracies,
                            initial_weights=weights)
-        assert solve_k_expert(kp) == pytest.approx(expectimax_k_expert_value(kp), rel=1e-12)
+        assert solve_k_expert(kp) == pytest.approx(expectimax_k_expert_value(kp, None), rel=1e-12)
 
     def test_guards(self):
         with pytest.raises(GuardError):
@@ -464,10 +490,6 @@ class TestOptimalValues:
         assert values[0] == 0.0
         for r in range(1, 61):
             assert values[r] == solve_two_expert(params(mu=mu, horizon=r, rho0=rho0)).root_value
-
-    def test_rejects_general_loss(self):
-        with pytest.raises(ValueError):
-            optimal_values(params(loss=lambda y: y * y))
 
 
 def test_no_information_values_cost_half_per_stage_at_even_odds():
