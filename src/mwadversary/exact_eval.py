@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import BinomialDist, GuardError, ModelParams, binomial, weight_power
 from .policies import BlockForm, Decision, OfflinePolicy, _ratio_pair, block_form
@@ -120,15 +121,22 @@ class OffsetDistribution:
         )
 
 
+def _offset_losses(params: ModelParams, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q(rho_j) and Q(1 - rho_j) at every offset j = -N..N (index j + N) of
+    weight ``rho``: the loss of a lie and of a truth whose stage moves the
+    weight, the only losses that depend on the offset."""
+    n = params.horizon
+    w = weight_power(np.arange(-n, n + 1), rho, params)
+    return params.q_vec(w), params.q_vec(1.0 - w)
+
+
 def _stage_costs(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Expected one-stage loss of lying and of telling the truth at every
     offset j = -N..N (index j + N): a lie costs Q(rho_j) when the honest
     expert is right and Q(1) when it errs, a truth Q(0) and Q(1 - rho_j)."""
-    n, mu = params.horizon, params.mu
-    rho = weight_power(np.arange(-n, n + 1), params.rho0, params)
-    lie = mu * params.q_vec(rho) + (1.0 - mu) * params.q(1.0)
-    truth = (1.0 - mu) * params.q_vec(1.0 - rho) + mu * params.q(0.0)
-    return lie, truth
+    mu = params.mu
+    q_lie, q_truth = _offset_losses(params, params.rho0)
+    return mu * q_lie + (1.0 - mu) * params.q(1.0), (1.0 - mu) * q_truth + mu * params.q(0.0)
 
 
 def _forward_step(masses: np.ndarray, lie: float, mu: float) -> np.ndarray:
@@ -158,17 +166,24 @@ def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribu
     )
 
 
-def _straight_run(n: int, lie: bool, start, rho: float, params: ModelParams):
+def _straight_run(n: int, lie: bool, start, losses: tuple[np.ndarray, np.ndarray],
+                  params: ModelParams):
     """Binomial-tail sum of a run of ``n`` lies (or truths) from offset
-    ``start`` of weight ``rho``, one sum per offset if ``start`` is a vector:
+    ``start``, one sum per offset if ``start`` is a vector, each reading Q
+    off one window of the per-offset table ``losses`` (:func:`_offset_losses`):
     the run's (i+1)-th weight-moving stage occurs with probability
-    P(Bin(n, p) > i) and costs Q at the weight i moves from the start.  A
-    zero-length run sums to exactly 0.0."""
-    if not 0 <= n <= params.horizon:
-        raise ValueError(f"n must be in [0, horizon], got {n}")
+    P(Bin(n, p) > i) and costs Q at the offset i steps from the start.  A
+    zero-length run sums to exactly 0.0; a run that would leave offsets
+    -N..N is an error."""
+    horizon = params.horizon
     p, step = (params.mu, 1) if lie else (1.0 - params.mu, -1)
-    w = weight_power(np.add.outer(start, step * np.arange(n + 1)), rho, params)
-    return params.q_vec(w if lie else 1.0 - w) @ binomial(n, p).tails
+    q = losses[0] if lie else losses[1][::-1]  # a truth run walks the table downwards
+    first = step * np.asarray(start) + horizon  # index in q of each run's first stage
+    if n < 0 or first.min() < 0 or first.max() > q.size - 1 - n:
+        raise ValueError(f"a run of {n} from offsets {start} leaves -{horizon}..{horizon}")
+    windows = as_strided(q, (q.size - n, n + 1), q.strides * 2, writeable=False)
+    # a strided operand can change the order in which @ sums, so gather contiguous rows
+    return np.ascontiguousarray(windows[first]) @ binomial(n, p).tails
 
 
 def value_false(n: int, rho: float, params: ModelParams) -> float:
@@ -177,16 +192,18 @@ def value_false(n: int, rho: float, params: ModelParams) -> float:
 
     Each stage where the honest expert errs costs Q(1) and leaves the weight
     alone; the stages where it is correct cost Q at successively punished
-    weights, which collapses to a binomial tail sum.  O(n) arithmetic.
+    weights, which collapses to a binomial tail sum.  O(N) arithmetic.
     """
-    return n * (1.0 - params.mu) * params.q(1.0) + float(_straight_run(n, True, 0, rho, params))
+    losses = _offset_losses(params, rho)
+    return n * (1.0 - params.mu) * params.q(1.0) + float(_straight_run(n, True, 0, losses, params))
 
 
 def value_true(n: int, rho: float, params: ModelParams) -> float:
     """Expected loss of telling the truth for ``n`` consecutive stages from
     relative weight ``rho`` (mirror of :func:`value_false` with rewarded
     weights and the honest expert's error rate)."""
-    return n * params.mu * params.q(0.0) + float(_straight_run(n, False, 0, rho, params))
+    losses = _offset_losses(params, rho)
+    return n * params.mu * params.q(0.0) + float(_straight_run(n, False, 0, losses, params))
 
 
 def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
@@ -194,27 +211,30 @@ def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
 
     Maintains the running offset distribution and charges every block the
     expectation of the corresponding straight-run value over that
-    distribution.  Because offsets compose additively, the per-block weights
-    are read directly off ``weight_power`` at shifted offsets.
+    distribution.  Because offsets compose additively, every block reads its
+    losses off one per-offset table, built once for the policy.
     """
     if blocks.horizon != params.horizon:
         raise ValueError(
             f"blocks cover {blocks.horizon} stages but the horizon is {params.horizon}"
         )
+    losses = _offset_losses(params, params.rho0)
     total, dist = 0.0, OffsetDistribution.point()
     for n, m in blocks:
-        total, dist = _block_step(total, dist, n, m, params)
+        total, dist = _block_step(total, dist, n, m, losses, params)
     return total
 
 
-def _block_step(total: float, dist: OffsetDistribution, n: int, m: int, params: ModelParams):
-    """Add ``n`` lies then ``m`` truths from offset law ``dist`` to ``total``; new (total, law)."""
+def _block_step(total: float, dist: OffsetDistribution, n: int, m: int,
+                losses: tuple[np.ndarray, np.ndarray], params: ModelParams):
+    """Add ``n`` lies then ``m`` truths from offset law ``dist`` to ``total``,
+    reading Q off ``losses`` (see :func:`_offset_losses`); new (total, law)."""
     mu = params.mu
     total += n * (1.0 - mu) * params.q(1.0)
-    total += float(dist.masses @ _straight_run(n, True, dist.support, params.rho0, params))
+    total += float(dist.masses @ _straight_run(n, True, dist.support, losses, params))
     dist = dist.after_lies(n, mu)
     total += m * mu * params.q(0.0)
-    total += float(dist.masses @ _straight_run(m, False, dist.support, params.rho0, params))
+    total += float(dist.masses @ _straight_run(m, False, dist.support, losses, params))
     return total, dist.after_truths(m, mu)
 
 
@@ -232,13 +252,14 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
     b, a = _ratio_pair(params.mu, max_denominator)
     pairs = [(n // 2) // (a + b) for n in ns]
     out = np.zeros(len(ns))
+    losses = _offset_losses(params, params.rho0)
     total, dist = 0.0, OffsetDistribution.point()
     for p in range(max(pairs, default=-1) + 1):
         if p:
-            total, dist = _block_step(total, dist, b, a, params)
+            total, dist = _block_step(total, dist, b, a, losses, params)
         for i, n in enumerate(ns):
             if pairs[i] == p:
-                out[i] = _block_step(total, dist, n - p * (a + b), 0, params)[0]
+                out[i] = _block_step(total, dist, n - p * (a + b), 0, losses, params)[0]
     return out
 
 

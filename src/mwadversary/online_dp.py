@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GuardError, ModelParams, weight_power
-from .exact_eval import _stage_costs, mixed_policy_values
+from .core import GuardError, ModelParams
+from .exact_eval import _offset_losses, _stage_costs, mixed_policy_values
 from .policies import Decision
 
 __all__ = [
@@ -218,8 +218,9 @@ def simulate_online(
 ) -> MCResult:
     """Play the policy's actions through ``trials`` independent episodes with
     honest predictions drawn i.i.d. at accuracy mu, charging Q of each
-    stage's prediction error (rho_j, 1, 0 or 1 - rho_j); the empirical mean
-    loss converges to the policy's root value."""
+    stage's prediction error (rho_j, 1, 0 or 1 - rho_j) from per-offset
+    tables built once; the empirical mean loss converges to the policy's
+    root value."""
     if policy.params != params:
         raise ValueError("policy was solved for different parameters")
     if trials < 1:
@@ -230,14 +231,13 @@ def simulate_online(
     correct = np.empty((n, trials), dtype=bool)
     for block in np.split(correct, range(_TRIAL_CHUNK, trials, _TRIAL_CHUNK), axis=1):
         block[:] = (rng.random(block.shape[::-1]) < params.mu).T
-    rho_all = weight_power(np.arange(-n, n + 1), params.rho0, params)
-    truth_all = 1.0 - rho_all
+    q_lie, q_truth = _offset_losses(params, params.rho0)
+    q0, q1 = params.q(0.0), params.q(1.0)
     i = np.full(trials, n, dtype=np.int64)  # offset j + n of every trial
     loss = np.zeros(trials)
     for k, c in enumerate(correct):
         lie = policy.lie_optimal[k][i - (n - k)]
-        error = np.where(lie, np.where(c, rho_all[i], 1.0), np.where(c, 0.0, truth_all[i]))
-        loss += params.q_vec(error)
+        loss += np.where(lie, np.where(c, q_lie[i], q1), np.where(c, q0, q_truth[i]))
         i += lie & c
         i -= ~lie & ~c
     return _mc_summary(loss, trials, seed)

@@ -10,6 +10,7 @@ from mwadversary import (
     ExpertState,
     ModelParams,
     OfflinePolicy,
+    OffsetDistribution,
     berry_esseen_check,
     block_form,
     bonus_term,
@@ -32,8 +33,10 @@ from mwadversary import (
     value_block_policy,
     value_false,
     value_true,
+    weight_power,
 )
-from mwadversary.core import GuardError
+from mwadversary.core import GuardError, binomial
+from mwadversary.exact_eval import _offset_losses, _straight_run
 from mwadversary.policies import Decision
 
 E = math.e
@@ -183,6 +186,72 @@ class TestValueBlockPolicy:
         p = params(mu=0.6, horizon=6, loss=lambda y: y * y)
         pol = OfflinePolicy.from_text("FTFFTF")
         assert policy_value(pol, p) == pytest.approx(brute_force_value(pol, p), abs=1e-9)
+
+
+def grid_run(n, lie, start, rho, p):
+    """Reference straight-run sum: weight_power and Q evaluated on the whole
+    (offsets x run length) grid instead of read off a per-offset table."""
+    prob, step = (p.mu, 1) if lie else (1.0 - p.mu, -1)
+    w = weight_power(np.add.outer(start, step * np.arange(n + 1)), rho, p)
+    return p.q_vec(w if lie else 1.0 - w) @ binomial(n, prob).tails
+
+
+def grid_block_value(blocks, p):
+    """Reference block evaluation on the grid form of every straight run."""
+    mu = p.mu
+    total, dist = 0.0, OffsetDistribution.point()
+    for n, m in blocks:
+        total += n * (1.0 - mu) * p.q(1.0)
+        total += float(dist.masses @ grid_run(n, True, dist.support, p.rho0, p))
+        dist = dist.after_lies(n, mu)
+        total += m * mu * p.q(0.0)
+        total += float(dist.masses @ grid_run(m, False, dist.support, p.rho0, p))
+        dist = dist.after_truths(m, mu)
+    return total
+
+
+TABLE_LOSSES = [
+    pytest.param(None, id="y"),
+    pytest.param(lambda y: y * y, id="y2"),
+    pytest.param(np.sqrt, id="np.sqrt"),
+    pytest.param(math.sqrt, id="math.sqrt"),
+]
+
+
+class TestOffsetLossTable:
+    """Straight runs read off the per-offset loss table equal the grid form bit for bit."""
+
+    @pytest.mark.parametrize("loss", TABLE_LOSSES)
+    @pytest.mark.parametrize("mu,rho", [(0.3, 0.2), (0.7, 0.85)])
+    def test_straight_runs_read_the_table_edges(self, loss, mu, rho):
+        p = params(mu=mu, horizon=40, rho0=0.5, loss=loss)
+        for n in (0, 1, 17, 40):  # n = horizon reads offsets -N and N
+            assert value_false(n, rho, p) == (
+                n * (1.0 - mu) * p.q(1.0) + float(grid_run(n, True, 0, rho, p)))
+            assert value_true(n, rho, p) == (
+                n * mu * p.q(0.0) + float(grid_run(n, False, 0, rho, p)))
+
+    @pytest.mark.parametrize("loss", TABLE_LOSSES)
+    @pytest.mark.parametrize("blocks", [
+        pytest.param(((40, 0),), id="lies"),
+        pytest.param(((0, 40),), id="truths"),
+        pytest.param(((0, 3), (2, 1), (1, 5), (4, 2), (3, 7), (12, 0)), id="mixed"),
+        pytest.param(((1, 2),) * 13 + ((1, 0),), id="pairs"),
+    ])
+    def test_block_policy(self, loss, blocks):
+        p = params(mu=0.62, horizon=40, rho0=0.3, loss=loss)
+        assert value_block_policy(BlockForm(blocks), p) == grid_block_value(blocks, p)
+
+    @pytest.mark.parametrize("n,lie,start", [
+        (3, True, [-1, 0]),  # 0 + 3 passes N = 2
+        (2, False, [-1, 1]),  # -1 - 2 passes -N
+        (0, True, [-3, 0]),  # the start itself is outside
+        (-1, True, [0]),
+    ])
+    def test_run_leaving_the_table_raises(self, n, lie, start):
+        p = params(horizon=2)
+        with pytest.raises(ValueError):
+            _straight_run(n, lie, np.array(start), _offset_losses(p, p.rho0), p)
 
 
 class TestBruteForce:

@@ -190,6 +190,7 @@ class TestOptimalPolicy:
         pytest.param(0.5, 0.05, None, id="0.5-0.05"),
         pytest.param(0.93, 0.9, None, id="0.93-0.9"),
         pytest.param(0.7, 0.2, LOSSES["squared"], id="0.7-0.2-squared"),
+        pytest.param(0.5, 0.3, math.sqrt, id="0.5-0.3-math.sqrt"),  # scalar-only loss
     ])
     @pytest.mark.parametrize("n", [1, 7, 60])
     @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
