@@ -16,10 +16,8 @@ from .core import (
     weight_update_g_inv,
 )
 from .exact_eval import (
-    BonusReport,
     OffsetDistribution,
     berry_esseen_check,
-    bonus_term,
     brute_force_value,
     exhaustive_offline_optimum,
     log_telescoping_residuals,

@@ -7,10 +7,8 @@ that lie at each stage with a fixed probability (the no-adversary and
 no-information baselines among them) by pushing it one stage at a time, which
 gives every prefix horizon in the same pass, and two brute-force enumerators
 (over honest sample paths, and over entire policy trees) serve as
-independent oracles.  The module also computes the
-credibility-rebuild bonus of a block policy together with its normal-CDF
-approximation, and provides numeric verifiers for the two analytic
-inequalities the approximation analysis rests on.
+independent oracles.  The module also provides numeric verifiers for the
+two analytic inequalities the normal-CDF approximation analysis rests on.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .policies import BlockForm, Decision, OfflinePolicy, _ratio_pair, block_for
 
 __all__ = [
     "OffsetDistribution",
-    "BonusReport",
     "offset_distribution",
     "value_false",
     "value_true",
@@ -34,7 +31,6 @@ __all__ = [
     "ratio_policy_values",
     "brute_force_value",
     "exhaustive_offline_optimum",
-    "bonus_term",
     "log_telescoping_residuals",
     "berry_esseen_check",
     "mixed_policy_values",
@@ -348,77 +344,6 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
 
     search("", np.ones((1, 1)), np.zeros(1))
     return OfflinePolicy.from_text(best_text), best_value
-
-
-@dataclass(frozen=True)
-class BonusReport:
-    """Credibility-rebuild bonus of a block policy.
-
-    ``exact`` sums, per block, the expected drop of 1/(1 + e^offset) caused
-    by that block's truth run (offsets weighted in base e, the canonical
-    epsilon = 1/e, equal-initial-weights normalization; for other epsilon
-    the offset scale is ln(1/epsilon)).  ``normal_approx`` replaces each
-    expectation with the normal CDF at the matching mean/sd.  ``means_sds``
-    holds per block (mean_incl, sd_incl, mean_excl, sd_excl), the offset
-    moments including/excluding the block's truth run.
-    """
-
-    exact: float
-    normal_approx: float
-    per_block_exact: np.ndarray
-    per_block_approx: np.ndarray
-    means_sds: tuple[tuple[float, float, float, float], ...]
-
-
-def _phi_of_ratio(mean: float, sd: float) -> float:
-    """Phi(-mean/sd) with the degenerate sd=0 resolved by the point-mass
-    limit (and Phi(0) when the mean is also 0)."""
-    if sd == 0.0:
-        if mean == 0.0:
-            return 0.5
-        return 0.0 if mean > 0 else 1.0
-    return normal_cdf(-mean / sd)
-
-
-def bonus_term(blocks: BlockForm, params: ModelParams) -> BonusReport:
-    """Exact bonus of a block policy and its normal approximation.
-
-    Each truth run lets the adversary rebuild weight before the next lie
-    run; the block's bonus is the expected difference of 1/(1 + e^offset)
-    with and without that truth run convolved in.  A block with an empty
-    truth run contributes exactly zero.
-    """
-    mu = params.mu
-    var_rate = mu * (1.0 - mu)
-    dist = OffsetDistribution.point()
-    n_cum = 0
-    m_cum = 0
-    per_exact = []
-    per_approx = []
-    means_sds = []
-    for n, m in blocks:
-        dist = dist.after_lies(n, mu)
-        n_cum += n
-        e_before = dist.expect(_inv1pexp(dist.support))
-        mean_excl = n_cum * mu - m_cum * (1.0 - mu)
-        sd_excl = math.sqrt(var_rate * (n_cum + m_cum))
-        dist = dist.after_truths(m, mu)
-        m_cum += m
-        e_after = dist.expect(_inv1pexp(dist.support))
-        mean_incl = n_cum * mu - m_cum * (1.0 - mu)
-        sd_incl = math.sqrt(var_rate * (n_cum + m_cum))
-        per_exact.append(e_after - e_before)
-        per_approx.append(_phi_of_ratio(mean_incl, sd_incl) - _phi_of_ratio(mean_excl, sd_excl))
-        means_sds.append((mean_incl, sd_incl, mean_excl, sd_excl))
-    per_exact = np.array(per_exact)
-    per_approx = np.array(per_approx)
-    return BonusReport(
-        exact=float(per_exact.sum()),
-        normal_approx=float(per_approx.sum()),
-        per_block_exact=per_exact,
-        per_block_approx=per_approx,
-        means_sds=tuple(means_sds),
-    )
 
 
 def log_telescoping_residuals(r: float, a: float) -> tuple[float, float, float, float]:

@@ -8,11 +8,11 @@ Q is solved, as it enters only through each offset's one-stage costs.  State
 offset j, so the values-only pass keeps one stage in O(N) memory and reads
 the optimum of every horizon 0..N off offset 0 as it goes; a played policy
 keeps one bit (its action) per state, and the full table of values, actions
-and ties is the small-N oracle.  Also here: the exact K-expert model on a
-mistake-count grid (one two-point average per honest expert, along its
-axis), a clairvoyant solver that takes a block of realizations in one pass
-with its Monte Carlo harness, and the baseline of an adversary with no
-outcome information.
+and ties serves the tests.  The passes' oracle is ``verify.expectimax_value``.
+Also here: the exact K-expert model on a mistake-count grid (one two-point
+average per honest expert, along its axis), a clairvoyant solver that takes
+a block of realizations in one pass with its Monte Carlo harness, and the
+baseline of an adversary with no outcome information.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ import csv
 import hashlib
 from typing import Mapping, Sequence
 
+import numpy as np
+
 __all__ = ["fmt", "config_hash", "write_csv", "write_svg"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -27,7 +29,7 @@ def fmt(value) -> str:
     """
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".15g")

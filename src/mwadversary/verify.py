@@ -2,18 +2,21 @@
 
 Each check returns a :class:`CheckResult` with the measured worst deviation
 and the tolerance it was held to, so the report can show how much margin a
-passing build actually has.
+passing build actually has.  The oracles: brute-force path enumeration for
+block-policy evaluation, and :func:`expectimax_value`, which replays raw
+weights without the offset lattice, for the online DPs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import product
+from typing import Callable
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ExpertState, ModelParams, mw_step, system_prediction
 from .exact_eval import (
     berry_esseen_check,
     brute_force_value,
@@ -24,10 +27,16 @@ from .exact_eval import (
     value_false,
     value_true,
 )
-from .online_dp import no_information_baseline, optimal_value, solve_two_expert
+from .online_dp import (
+    KExpertParams,
+    no_information_values,
+    optimal_policy,
+    optimal_values,
+    solve_k_expert,
+)
 from .policies import OfflinePolicy, block_form, random_policy, ratio_policy
 
-__all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
+__all__ = ["CheckResult", "expectimax_value", "run_all", "ALL_CHECKS"]
 
 _EPS_DEFAULT = math.exp(-1.0)
 
@@ -68,34 +77,65 @@ def check_oracle_equivalence(evaluator: Callable | None = None) -> CheckResult:
     return CheckResult("oracle-equivalence", worst <= tol, worst, tol, detail)
 
 
-def check_bellman_consistency() -> CheckResult:
-    """Re-derive every interior state of the two-expert table from its own
-    successors and compare."""
-    from .core import weight_power
+def expectimax_value(kp: KExpertParams, loss: Callable[[float], float] | None) -> float:
+    """Optimal online expected loss Q (``loss`` as in ModelParams) against
+    K-1 honest experts by expectimax over raw weights: at every stage the
+    adversary picks lie or truth, and the 2^(K-1) honest outcomes are
+    averaged with their probabilities, each replayed with
+    mw_step/system_prediction (outcome fixed to 1, which the relative
+    encoding makes harmless).  The error is the weight share of the wrong
+    experts; 1 minus the right side's share would cancel when that share
+    is near 1.  Paths that reach the same raw weights share one
+    evaluation."""
+    mw = ModelParams(epsilon=kp.epsilon, mu=0.5, horizon=kp.horizon, rho0=0.5, loss=loss)
+    outcomes = [
+        (correct, math.prod(a if c else 1.0 - a for a, c in zip(kp.accuracies, correct)))
+        for correct in product((0, 1), repeat=len(kp.accuracies))
+    ]
+    memo: dict[tuple[int, bytes], float] = {}
 
-    worst = 0.0
+    def value(state: ExpertState, k: int) -> float:
+        key = (k, state.weights.tobytes())
+        if k == kp.horizon or key in memo:
+            return memo.get(key, 0.0)
+        best = -math.inf
+        for adversary in (0, 1):  # 0 lies, 1 tells the truth
+            total = 0.0
+            for correct, prob in outcomes:
+                predictions = [adversary, *correct]
+                error = system_prediction(state, [1 - x for x in predictions])
+                total += prob * (mw.q(error) + value(mw_step(state, predictions, 1, mw), k + 1))
+            best = max(best, total)
+        memo[key] = best
+        return best
+
+    return value(ExpertState(np.array(kp.initial_weights)), 0)
+
+
+def check_online_oracle() -> CheckResult:
+    """The online DPs against the raw-weight expectimax, which never touches
+    the offset lattice: two-expert values and played-policy roots on a grid
+    of (mu, rho0, epsilon, N), and the K-expert DP at K = 3."""
+    cases = []
+    for mu, rho0, eps, n in product((0.3, 0.5, 0.7), (0.2, 0.5), (_EPS_DEFAULT, 0.6), (1, 6, 12)):
+        p = ModelParams(epsilon=eps, mu=mu, horizon=n, rho0=rho0)
+        kp = KExpertParams(epsilon=eps, horizon=n, accuracies=(mu,), initial_weights=(rho0, 1.0 - rho0))
+        cases.append((kp, f"mu={mu} rho0={rho0} eps={eps:.4g} N={n}", {
+            "optimal_values": optimal_values(p)[-1],
+            "optimal_policy": optimal_policy(p).root_value,
+        }))
+    kp = KExpertParams(epsilon=_EPS_DEFAULT, horizon=8, accuracies=(0.3, 0.7), initial_weights=(1.0,) * 3)
+    cases.append((kp, "K=3 accuracies=(0.3, 0.7) N=8", {"solve_k_expert": solve_k_expert(kp)}))
+    worst = -math.inf
     detail = ""
-    for mu in (0.3, 0.5, 0.7):
-        params = ModelParams(epsilon=_EPS_DEFAULT, mu=mu, horizon=30)
-        table = solve_two_expert(params)
-        for k in range(params.horizon):
-            for j in range(-k, k + 1):
-                rho = weight_power(j, params.rho0, params)
-                lie = (
-                    1.0 - mu + mu * rho
-                    + mu * table.value(k + 1, j + 1)
-                    + (1.0 - mu) * table.value(k + 1, j)
-                )
-                truth = (
-                    (1.0 - mu) * (1.0 - rho)
-                    + (1.0 - mu) * table.value(k + 1, j - 1)
-                    + mu * table.value(k + 1, j)
-                )
-                dev = abs(table.value(k, j) - max(lie, truth))
-                if dev > worst:
-                    worst, detail = dev, f"mu={mu} state (k={k}, j={j})"
+    for kp, label, got in cases:
+        want = expectimax_value(kp, None)
+        for solver, value in got.items():
+            dev = abs(value - want) / want
+            if dev > worst:
+                worst, detail = dev, f"{solver} {label}"
     tol = 1e-12
-    return CheckResult("bellman-consistency", worst <= tol, worst, tol, detail)
+    return CheckResult("online-oracle", bool(worst <= tol), worst, tol, detail)
 
 
 def check_residual_inequalities() -> CheckResult:
@@ -139,11 +179,11 @@ def check_dominance_chain() -> CheckResult:
     for mu in (0.3, 0.5, 0.7):
         for n in (8, 12):
             params = ModelParams(epsilon=_EPS_DEFAULT, mu=mu, horizon=n)
-            v_on = optimal_value(params)
+            v_on = optimal_values(params)[-1]
             _, v_off = exhaustive_offline_optimum(params)
             v_ratio = policy_value(ratio_policy(params), params)
             v_false = value_false(n, params.rho0, params)
-            v_ni = no_information_baseline(params)
+            v_ni = no_information_values(params)[-1]
             v_true = value_true(n, params.rho0, params)
             links = {
                 "online>=offline": v_off - v_on,
@@ -157,7 +197,7 @@ def check_dominance_chain() -> CheckResult:
                 if gap > worst:
                     worst, detail = gap, f"mu={mu} N={n} {link}"
     tol = 1e-9
-    return CheckResult("dominance-chain", worst <= tol, worst, tol, detail)
+    return CheckResult("dominance-chain", bool(worst <= tol), worst, tol, detail)
 
 
 def check_bounds_sandwich() -> CheckResult:
@@ -167,17 +207,17 @@ def check_bounds_sandwich() -> CheckResult:
     n = 500
     for mu in (0.3, 0.5, 0.7):
         params = ModelParams(epsilon=_EPS_DEFAULT, mu=mu, horizon=n)
-        per_stage = optimal_value(params) / n
+        per_stage = optimal_values(params)[-1] / n
         violation = max((1.0 - mu) - per_stage, per_stage - ((1.0 - mu * mu) + 0.05))
         if violation > worst:
             worst, detail = violation, f"mu={mu} V*/N={per_stage:.6f}"
     tol = 0.0
-    return CheckResult("bounds-sandwich", worst < tol, worst, tol, detail)
+    return CheckResult("bounds-sandwich", bool(worst < tol), worst, tol, detail)
 
 
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_oracle_equivalence,
-    check_bellman_consistency,
+    check_online_oracle,
     check_residual_inequalities,
     check_normal_approx_decay,
     check_dominance_chain,

@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mwadversary
@@ -16,6 +18,7 @@ from mwadversary import (
     optimal_value,
     policy_value,
     two_honest_value,
+    verify,
 )
 from mwadversary.cli import ConfigError, main, parse_config_file, resolve_config
 from mwadversary.exact_eval import value_block_policy
@@ -261,7 +264,12 @@ class TestVerifyScenario:
         assert "[FAIL]" not in stdout
         _, header, rows = read_csv(str(out))
         assert header == ["check", "passed", "measured", "tolerance", "detail"]
+        assert [row[0] for row in rows] == [
+            "oracle-equivalence", "online-oracle", "residual-inequalities",
+            "normal-approx-decay", "dominance-chain", "bounds-sandwich",
+        ]
         assert all(row[1] == "true" for row in rows)
+        assert all(row[4] for row in rows), "every row names its worst case"
 
     def test_detects_perturbed_evaluator(self):
         """An epsilon perturbation injected into the evaluator must trip the
@@ -276,6 +284,38 @@ class TestVerifyScenario:
         assert not result.passed
         assert result.measured > result.tolerance
 
+    def test_detects_perturbed_online_solver(self, monkeypatch):
+        """A 1e-9 relative error in the online DP must trip the
+        online-oracle check."""
+        solve = verify.optimal_values
+        monkeypatch.setattr(verify, "optimal_values", lambda p: solve(p) * (1 + 1e-9))
+        result = verify.check_online_oracle()
+        assert result.passed is False
+        assert result.measured > result.tolerance
+
+    def test_detects_perturbed_played_policy(self, monkeypatch):
+        """The played policy's root value is checked on its own, not only
+        through the value table."""
+        solve = verify.optimal_policy
+        monkeypatch.setattr(verify, "optimal_policy", lambda p: SimpleNamespace(
+            root_value=solve(p).root_value * (1 + 1e-9)))
+        result = verify.check_online_oracle()
+        assert result.passed is False
+        assert result.detail.startswith("optimal_policy ")
+
+    def test_detects_perturbed_k_expert_solver(self, monkeypatch):
+        """The K = 3 case trips the check even when the two-expert DPs are
+        exact."""
+        solve = verify.solve_k_expert
+        monkeypatch.setattr(verify, "solve_k_expert", lambda kp: solve(kp) * (1 + 1e-9))
+        result = verify.check_online_oracle()
+        assert result.passed is False
+        assert result.detail == "solve_k_expert K=3 accuracies=(0.3, 0.7) N=8"
+
+    def test_passed_is_a_plain_bool(self):
+        for res in run_all():
+            assert type(res.passed) is bool, res.name
+
     def test_all_checks_report_margin(self):
         for res in run_all():
             assert res.passed
@@ -289,6 +329,10 @@ def test_fmt_keeps_library_precision():
     value = 5.417522589143764
     assert float(fmt(value)) == pytest.approx(value, rel=1e-14)
     assert fmt(0.49999999999999994) == "0.5"
+
+
+def test_fmt_writes_numpy_bools_as_csv_bools():
+    assert (fmt(np.True_), fmt(np.False_)) == ("true", "false")
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -12,8 +12,6 @@ from mwadversary import (
     OfflinePolicy,
     OffsetDistribution,
     berry_esseen_check,
-    block_form,
-    bonus_term,
     brute_force_value,
     exhaustive_offline_optimum,
     false_policy,
@@ -380,47 +378,6 @@ class TestRatioPolicyValues:
             ratio_policy_values([1, 4], params(horizon=4), 20)
         with pytest.raises(ValueError):
             ratio_policy_values([5], params(horizon=4), 20)
-
-
-class TestBonusTerm:
-    def test_pure_lie_block_contributes_nothing(self):
-        rep = bonus_term(BlockForm(((6, 0),)), params(horizon=6))
-        assert rep.exact == pytest.approx(0.0, abs=1e-15)
-        assert rep.normal_approx == pytest.approx(0.0, abs=1e-15)
-
-    def test_lie_truth_anchor(self):
-        rep = bonus_term(BlockForm(((1, 1),)), params())
-        # 2x2 enumeration: E[1/(1+e^{X-Y})] - E[1/(1+e^X)] for X,Y ~ Ber(1/2)
-        assert rep.exact == pytest.approx(0.11552928931500245, abs=1e-12)
-        assert rep.normal_approx == pytest.approx(normal_cdf(0.0) - normal_cdf(-1.0), abs=1e-12)
-
-    def test_per_block_terms_sum_to_totals(self):
-        p = params(horizon=24)
-        blocks = block_form(ratio_policy(p))
-        rep = bonus_term(blocks, p)
-        assert rep.per_block_exact.sum() == pytest.approx(rep.exact, abs=1e-9)
-        assert rep.per_block_approx.sum() == pytest.approx(rep.normal_approx, abs=1e-9)
-        assert len(rep.means_sds) == len(blocks.blocks)
-
-    def test_moment_bookkeeping(self):
-        p = params(mu=0.3, horizon=9)
-        rep = bonus_term(BlockForm(((2, 3), (4, 0))), p)
-        mean_incl, sd_incl, mean_excl, sd_excl = rep.means_sds[0]
-        assert mean_excl == pytest.approx(2 * 0.3)
-        assert sd_excl == pytest.approx(math.sqrt(0.3 * 0.7 * 2))
-        assert mean_incl == pytest.approx(2 * 0.3 - 3 * 0.7)
-        assert sd_incl == pytest.approx(math.sqrt(0.3 * 0.7 * 5))
-        # the trailing truth-free block moves nothing
-        assert rep.per_block_exact[1] == pytest.approx(0.0, abs=1e-15)
-        assert rep.per_block_approx[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_balanced_ratio_policy_summands_positive(self):
-        p = params(horizon=64)
-        blocks = block_form(ratio_policy(p))
-        rep = bonus_term(blocks, p)
-        for (n, m), term in zip(blocks, rep.per_block_approx):
-            if m > 0:
-                assert term > 0.0
 
 
 class TestResiduals:

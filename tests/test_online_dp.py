@@ -29,6 +29,7 @@ from mwadversary import (
 )
 from mwadversary.core import GuardError
 from mwadversary.online_dp import _philox
+from mwadversary.verify import expectimax_value
 
 E = math.e
 
@@ -213,43 +214,6 @@ class TestOptimalPolicy:
         assert sum(a.nbytes for a in packed) <= n * n / 8 + n
 
 
-def expectimax_k_expert_value(kp, loss):
-    """Optimal online expected loss Q (``loss`` as in ModelParams) against
-    K-1 honest experts by expectimax over raw weights: at every stage the
-    adversary picks lie or truth, and the 2^(K-1) honest outcomes are
-    averaged with their probabilities, each replayed with
-    mw_step/system_prediction (outcome fixed to 1, which the relative
-    encoding makes harmless).  The error is the weight share of the wrong
-    experts; 1 minus the right side's share would cancel when that share
-    is near 1.  Paths that reach the same raw weights share one
-    evaluation."""
-    mw = ModelParams(epsilon=kp.epsilon, mu=0.5, horizon=kp.horizon, rho0=0.5, loss=loss)
-    honest = len(kp.accuracies)
-    outcomes = []
-    for code in range(1 << honest):
-        correct = [(code >> i) & 1 for i in range(honest)]
-        prob = math.prod(a if c else 1.0 - a for a, c in zip(kp.accuracies, correct))
-        outcomes.append((correct, prob))
-    memo = {}
-
-    def value(state, k):
-        key = (k, state.weights.tobytes())
-        if k == kp.horizon or key in memo:
-            return memo.get(key, 0.0)
-        best = -math.inf
-        for adversary in (0, 1):  # 0 lies, 1 tells the truth
-            total = 0.0
-            for correct, prob in outcomes:
-                predictions = [adversary, *correct]
-                error = system_prediction(state, [1 - x for x in predictions])
-                total += prob * (mw.q(error) + value(mw_step(state, predictions, 1, mw), k + 1))
-            best = max(best, total)
-        memo[key] = best
-        return best
-
-    return value(ExpertState(np.array(kp.initial_weights)), 0)
-
-
 class TestGeneralLoss:
     @pytest.mark.parametrize("loss", list(LOSSES))
     @pytest.mark.parametrize("mu,rho0,epsilon", [(0.3, 0.2, 1 / E), (0.5, 0.5, 0.6),
@@ -261,10 +225,21 @@ class TestGeneralLoss:
         p = params(mu=mu, horizon=n, rho0=rho0, epsilon=epsilon, loss=LOSSES[loss])
         kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=(mu,),
                            initial_weights=(rho0, 1.0 - rho0))
-        want = expectimax_k_expert_value(kp, p.loss)
+        want = expectimax_value(kp, p.loss)
         for got in (solve_two_expert(p).root_value, optimal_policy(p).root_value,
                     optimal_values(p)[-1], optimal_value(p)):
             assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_expectimax_one_stage_closed_form():
+    """With one stage left the adversary lies: if the honest expert is right
+    the error is the adversary's weight share rho0, otherwise it is 1."""
+    for mu, rho0 in [(0.3, 0.2), (0.7, 0.5), (0.5, 0.9)]:
+        kp = KExpertParams(epsilon=1 / E, horizon=1, accuracies=(mu,),
+                           initial_weights=(rho0, 1.0 - rho0))
+        for q in (None, LOSSES["squared"]):
+            lie = mu * (rho0 if q is None else q(rho0)) + (1.0 - mu)
+            assert expectimax_value(kp, q) == pytest.approx(lie, rel=1e-15)
 
 
 class TestSolveKExpert:
@@ -302,7 +277,7 @@ class TestSolveKExpert:
     def test_matches_expectimax_over_raw_weights(self, accuracies, weights, epsilon, n):
         kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=accuracies,
                            initial_weights=weights)
-        assert solve_k_expert(kp) == pytest.approx(expectimax_k_expert_value(kp, None), rel=1e-12)
+        assert solve_k_expert(kp) == pytest.approx(expectimax_value(kp, None), rel=1e-12)
 
     def test_guards(self):
         with pytest.raises(GuardError):
