@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,26 +160,10 @@ def _bool(text: str, key: str) -> bool:
     raise ConfigError(f"{key} must be a boolean, got {text!r}")
 
 
-# every configuration key, in flag order, with the ExperimentConfig field it
-# sets, its parser and the help text of its flag; a config file may set these
-# keys and no others
-_KEYS = {
-    "N": ("horizons", _ints, "comma list of horizons"),
-    "mu": ("mus", _floats, "honest accuracy (comma list pairs with rho0)"),
-    "rho0": ("rho0s", _floats, "adversary initial relative weight"),
-    "epsilon": ("epsilon", _one(_floats), "multiplicative penalty in (0,1)"),
-    "trials": ("trials", _one(_ints), "Monte Carlo trials"),
-    "seed": ("seed", _one(_ints), "root RNG seed"),
-    "out": ("out", lambda text, key: text, "output CSV path"),
-    "svg": ("svg", _bool, "emit SVG charts"),
-    "policy": ("policies", _list(str.strip, "names"), "policies for eval-offline"),
-    "q": ("q", _one(_floats), "truth probability for the random policy"),
-    "accuracies": ("accuracies", _floats, "honest accuracies for multi-expert"),
-    "weights": ("weights", _floats, "initial weights (adversary first)"),
-    "offline_opt_max_n": ("offline_opt_max_n", _one(_ints), "largest N for the exhaustive column"),
-    "exact_dp_max_n": ("exact_dp_max_n", _one(_ints), "largest N for the exact K-expert column"),
-    "max_denominator": ("max_denominator", _one(_ints), "rational-approximation bound for ratio policy"),
-}
+def _key(key: str, parse, text: str, empty=list):
+    """A config field set by ``key``: ``parse`` reads its value, ``text`` is
+    the help of its flag and ``empty()`` its value when nothing sets it."""
+    return field(default_factory=empty, metadata={"key": key, "parse": parse, "help": text})
 
 
 @dataclass
@@ -188,21 +172,24 @@ class ExperimentConfig:
     defaults nor receives leaves its field empty, and the scenario never reads it."""
 
     scenario: str
-    horizons: list[int] = field(default_factory=list)
-    mus: list[float] = field(default_factory=list)
-    rho0s: list[float] = field(default_factory=list)
-    epsilon: float = 0.0
-    trials: int = 0
-    seed: int = 0
-    out: str = ""
-    svg: bool = False
-    policies: list[str] = field(default_factory=list)
-    q: float = 0.0
-    accuracies: list[float] = field(default_factory=list)
-    weights: list[float] = field(default_factory=list)
-    offline_opt_max_n: int = 0
-    exact_dp_max_n: int = 0
-    max_denominator: int = 0
+    horizons: list[int] = _key("N", _ints, "comma list of horizons")
+    mus: list[float] = _key("mu", _floats, "honest accuracy (comma list pairs with rho0)")
+    rho0s: list[float] = _key("rho0", _floats, "adversary initial relative weight")
+    epsilon: float = _key("epsilon", _one(_floats), "multiplicative penalty in (0,1)", float)
+    trials: int = _key("trials", _one(_ints), "Monte Carlo trials", int)
+    seed: int = _key("seed", _one(_ints), "root RNG seed", int)
+    out: str = _key("out", lambda text, key: text, "output CSV path", str)
+    svg: bool = _key("svg", _bool, "emit SVG charts", bool)
+    policies: list[str] = _key("policy", _list(str.strip, "names"), "policies for eval-offline")
+    q: float = _key("q", _one(_floats), "truth probability for the random policy", float)
+    accuracies: list[float] = _key("accuracies", _floats, "honest accuracies for multi-expert")
+    weights: list[float] = _key("weights", _floats, "initial weights (adversary first)")
+    offline_opt_max_n: int = _key("offline_opt_max_n", _one(_ints),
+                                  "largest N for the exhaustive column", int)
+    exact_dp_max_n: int = _key("exact_dp_max_n", _one(_ints),
+                               "largest N for the exact K-expert column", int)
+    max_denominator: int = _key("max_denominator", _one(_ints),
+                                "rational-approximation bound for ratio policy", int)
     resolved: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -218,6 +205,12 @@ class ExperimentConfig:
         if len(set(pairs)) != len(pairs):
             raise ConfigError(f"every (mu, rho0) pair must be distinct, got {pairs}")
         return pairs
+
+
+# every configuration key, in flag order, with the field it sets, its parser
+# and the help text of its flag; a config file may set these keys and no others
+_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["help"])
+         for f in fields(ExperimentConfig) if f.metadata}
 
 
 def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[str, str]) -> ExperimentConfig:
@@ -489,4 +482,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

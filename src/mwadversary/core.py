@@ -12,7 +12,7 @@ dynamic program exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +47,19 @@ def _validate_loss(q: Callable[[float], float]) -> None:
         raise ValueError("loss function must be nondecreasing on [0, 1]")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def _check_horizon(horizon) -> int:
+    """``horizon`` as an int, if it is a whole number >= 1 (a Python or NumPy
+    integer, or an integral float); a ValueError otherwise, inf and NaN too."""
+    if not (1 <= horizon < math.inf and int(horizon) == horizon):
+        raise ValueError(f"horizon must be a positive integer, got {horizon}")
+    return int(horizon)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """One two-expert problem instance.
@@ -69,13 +82,10 @@ class ModelParams:
     loss: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must be strictly inside (0, 1), got {self.mu}")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", _check_horizon(self.horizon))
         if not 0.0 < self.rho0 < 1.0:
             raise ValueError(f"rho0 must be in (0, 1), got {self.rho0}")
         if self.loss is not None:
@@ -131,18 +141,13 @@ def weight_power(j, rho: float, params: ModelParams):
     Equals 1 / (1 + (1/rho - 1) * epsilon**(-j)); positive ``j`` composes the
     punishing map ``j`` times, negative ``j`` the rewarding inverse.  Never
     iterates the composition, and saturates toward the 0/1 fixed points
-    instead of overflowing for huge ``|j|``.  Accepts a scalar or an ndarray
-    of offsets and returns the matching shape.
+    instead of overflowing for huge ``|j|``.  Accepts a scalar (returns a
+    float) or an ndarray of offsets (returns the matching shape).
     """
     _check_rho(rho)
-    is_array = isinstance(j, np.ndarray)
-    if rho == 1.0:
-        return np.ones(np.shape(j)) if is_array else 1.0
-    a = 1.0 / rho - 1.0
     z = -math.log(params.epsilon) * np.asarray(j, dtype=float)
-    if is_array:
-        return 1.0 / (1.0 + a * np.exp(np.minimum(z, _MAX_EXP)))
-    return 1.0 / (1.0 + a * math.exp(min(float(z), _MAX_EXP)))
+    w = 1.0 / (1.0 + (1.0 / rho - 1.0) * np.exp(np.minimum(z, _MAX_EXP)))
+    return w if isinstance(j, np.ndarray) else float(w)
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,6 @@ class ExpertState:
     """
 
     weights: np.ndarray
-    stage: int = 0
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -196,18 +200,18 @@ def mw_step(
     params: ModelParams,
 ) -> ExpertState:
     """One multiplicative-weights update: every wrong expert's weight is
-    multiplied by epsilon, correct experts keep theirs; stage advances."""
+    multiplied by epsilon, correct experts keep theirs."""
     p = _check_predictions(predictions, state.n_experts)
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     wrong = p != outcome
     new_w = np.where(wrong, state.weights * params.epsilon, state.weights)
-    return ExpertState(new_w, state.stage + 1)
+    return ExpertState(new_w)
 
 
 @dataclass(frozen=True)
 class BinomialDist:
-    """Exact binomial pmf with tail accessors."""
+    """Exact binomial pmf and its tail probabilities."""
 
     trials: int
     success_prob: float
@@ -218,14 +222,6 @@ class BinomialDist:
         """P(Z > j) for j = 0..trials (the last entry is exactly 0)."""
         suffix = np.cumsum(self.pmf[::-1])[::-1]  # suffix[j] = P(Z >= j)
         return np.append(suffix[1:], 0.0)
-
-    def tail(self, j: int) -> float:
-        """P(Z > j) for any integer j."""
-        if j < 0:
-            return 1.0
-        if j >= self.trials:
-            return 0.0
-        return float(self.tails[j])
 
 
 def binomial(trials: int, p: float) -> BinomialDist:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BinomialDist, GuardError, ModelParams, binomial, weight_power
+from .core import GuardError, ModelParams, binomial, weight_power
 from .policies import BlockForm, Decision, OfflinePolicy, _ratio_pair, block_form
 
 __all__ = [
@@ -88,19 +88,6 @@ class OffsetDistribution:
     @property
     def support(self) -> np.ndarray:
         return np.arange(self.support_min, self.support_min + self.masses.size)
-
-    def prob(self, j: int) -> float:
-        i = j - self.support_min
-        if 0 <= i < self.masses.size:
-            return float(self.masses[i])
-        return 0.0
-
-    def expect(self, values: np.ndarray) -> float:
-        """Expectation of per-offset ``values`` aligned with :attr:`support`."""
-        v = np.asarray(values, dtype=float)
-        if v.shape != self.masses.shape:
-            raise ValueError("values must align with the support")
-        return float(self.masses @ v)
 
     def after_lies(self, n: int, mu: float) -> "OffsetDistribution":
         """Convolve in ``n`` lying stages: each adds +1 with probability mu."""
@@ -391,7 +378,7 @@ def berry_esseen_check(n: int, m: int, mu: float) -> tuple[float, float, float, 
     sides equal by convention.
     """
     dist = offset_distribution(n, m, mu)
-    exact = dist.expect(_inv1pexp(dist.support))
+    exact = float(dist.masses @ _inv1pexp(dist.support))
     sigma = math.sqrt(mu * (1.0 - mu) * (n + m))
     if sigma == 0.0:
         return exact, exact, 0.0, 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GuardError, ModelParams
+from .core import GuardError, ModelParams, _check_epsilon, _check_horizon
 from .exact_eval import _offset_losses, _stage_costs, mixed_policy_values
 from .policies import Decision
 
@@ -257,11 +257,8 @@ class KExpertParams:
         object.__setattr__(
             self, "initial_weights", tuple(float(w) for w in self.initial_weights)
         )
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        _check_epsilon(self.epsilon)
+        object.__setattr__(self, "horizon", _check_horizon(self.horizon))
         if len(self.accuracies) < 1:
             raise ValueError("need at least one honest expert")
         if any(not 0.0 < a < 1.0 for a in self.accuracies):

@@ -12,12 +12,12 @@ evaluators consume directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, _check_horizon
 
 __all__ = [
     "Decision",
@@ -42,9 +42,6 @@ class OfflinePolicy:
     """A committed lie/truth decision per stage."""
 
     decisions: tuple[Decision, ...]
-    # set by constructors that had to degrade (e.g. ratio fallback); carries
-    # no semantics for evaluation and is excluded from equality
-    note: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.decisions) < 1:
@@ -57,10 +54,6 @@ class OfflinePolicy:
     def horizon(self) -> int:
         return len(self.decisions)
 
-    @property
-    def lie_count(self) -> int:
-        return sum(1 for d in self.decisions if d is Decision.LIE)
-
     def to_text(self) -> str:
         """Serialize as a string over {F, T}, F meaning LIE."""
         return "".join(d.value for d in self.decisions)
@@ -71,12 +64,6 @@ class OfflinePolicy:
             return cls(tuple(Decision(c) for c in text))
         except ValueError as exc:
             raise ValueError(f"policy text must use only 'F' and 'T': {text!r}") from exc
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-    def __iter__(self):
-        return iter(self.decisions)
 
 
 @dataclass(frozen=True)
@@ -111,12 +98,6 @@ class BlockForm:
         return iter(self.blocks)
 
 
-def _check_horizon(horizon: int) -> int:
-    if int(horizon) != horizon or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon}")
-    return int(horizon)
-
-
 def false_policy(horizon: int) -> OfflinePolicy:
     """Lie at every stage."""
     n = _check_horizon(horizon)
@@ -146,20 +127,13 @@ def ratio_policy(params: ModelParams, max_denominator: int = 20) -> OfflinePolic
     short prefix blocks maximize the number of lie/truth switches, which is
     what generates the credibility-rebuild bonus this policy exists for.
 
-    If even one (b, a) pair does not fit in half the horizon, falls back to
-    the all-lies policy and flags that in ``note``.
+    If even one (b, a) pair does not fit in half the horizon, that leaves
+    the all-lies policy.
     """
     if params.horizon < 2:
         raise ValueError("ratio policy needs horizon >= 2")
     b, a = _ratio_pair(params.mu, max_denominator)
     pairs = (params.horizon // 2) // (a + b)
-    if pairs == 0:
-        fallback = false_policy(params.horizon)
-        return OfflinePolicy(
-            fallback.decisions,
-            note=f"horizon {params.horizon} too short for a ({b},{a}) prefix pair; "
-            "fell back to the false policy",
-        )
     tail = params.horizon - pairs * (a + b)
     blocks = BlockForm(tuple([(b, a)] * pairs + [(tail, 0)]))
     return from_blocks(blocks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -50,31 +50,36 @@ class CheckResult:
     detail: str
 
 
+def _worst_case(name: str, cases: Iterable[tuple[float, str]], tol: float) -> CheckResult:
+    """Passes when no (deviation, label) case exceeds ``tol``; measures the
+    largest deviation and names the first case that reaches it."""
+    worst, detail = max(cases, key=lambda case: case[0])
+    return CheckResult(name, bool(worst <= tol), worst, tol, detail)
+
+
 def check_oracle_equivalence(evaluator: Callable | None = None) -> CheckResult:
     """Block-policy evaluation against brute-force path enumeration:
     exhaustively at N=8 and on random policies up to N=12."""
     evaluate = evaluator or (lambda pol, params: value_block_policy(block_form(pol), params))
-    worst = 0.0
-    detail = ""
+
+    def deviation(pol: OfflinePolicy, params: ModelParams) -> float:
+        return abs(evaluate(pol, params) - brute_force_value(pol, params))
+
     n = 8
     params = ModelParams(epsilon=_EPS_DEFAULT, mu=0.5, horizon=n)
+    cases = []
     for code in range(1 << n):
         text = "".join("T" if (code >> k) & 1 else "F" for k in range(n))
         pol = OfflinePolicy.from_text(text)
-        dev = abs(evaluate(pol, params) - brute_force_value(pol, params))
-        if dev > worst:
-            worst, detail = dev, f"exhaustive N=8 policy {text}"
+        cases.append((deviation(pol, params), f"exhaustive N=8 policy {text}"))
     rng = np.random.default_rng(2024)
     for _ in range(50):
         n = int(rng.integers(2, 13))
         mu = float(rng.choice([0.3, 0.5, 0.7]))
         params = ModelParams(epsilon=_EPS_DEFAULT, mu=mu, horizon=n)
         pol = random_policy(n, float(rng.random()), int(rng.integers(1 << 31)))
-        dev = abs(evaluate(pol, params) - brute_force_value(pol, params))
-        if dev > worst:
-            worst, detail = dev, f"random N={n} mu={mu} policy {pol.to_text()}"
-    tol = 1e-9
-    return CheckResult("oracle-equivalence", worst <= tol, worst, tol, detail)
+        cases.append((deviation(pol, params), f"random N={n} mu={mu} policy {pol.to_text()}"))
+    return _worst_case("oracle-equivalence", cases, 1e-9)
 
 
 def expectimax_value(kp: KExpertParams, loss: Callable[[float], float] | None) -> float:
@@ -116,40 +121,32 @@ def check_online_oracle() -> CheckResult:
     """The online DPs against the raw-weight expectimax, which never touches
     the offset lattice: two-expert values and played-policy roots on a grid
     of (mu, rho0, epsilon, N), and the K-expert DP at K = 3."""
+
+    def deviations(kp: KExpertParams, label: str, got: dict[str, float]) -> list:
+        want = expectimax_value(kp, None)
+        return [(abs(value - want) / want, f"{solver} {label}") for solver, value in got.items()]
+
     cases = []
     for mu, rho0, eps, n in product((0.3, 0.5, 0.7), (0.2, 0.5), (_EPS_DEFAULT, 0.6), (1, 6, 12)):
         p = ModelParams(epsilon=eps, mu=mu, horizon=n, rho0=rho0)
         kp = KExpertParams(epsilon=eps, horizon=n, accuracies=(mu,), initial_weights=(rho0, 1.0 - rho0))
-        cases.append((kp, f"mu={mu} rho0={rho0} eps={eps:.4g} N={n}", {
+        cases += deviations(kp, f"mu={mu} rho0={rho0} eps={eps:.4g} N={n}", {
             "optimal_values": optimal_values(p)[-1],
             "optimal_policy": optimal_policy(p).root_value,
-        }))
+        })
     kp = KExpertParams(epsilon=_EPS_DEFAULT, horizon=8, accuracies=(0.3, 0.7), initial_weights=(1.0,) * 3)
-    cases.append((kp, "K=3 accuracies=(0.3, 0.7) N=8", {"solve_k_expert": solve_k_expert(kp)}))
-    worst = -math.inf
-    detail = ""
-    for kp, label, got in cases:
-        want = expectimax_value(kp, None)
-        for solver, value in got.items():
-            dev = abs(value - want) / want
-            if dev > worst:
-                worst, detail = dev, f"{solver} {label}"
-    tol = 1e-12
-    return CheckResult("online-oracle", bool(worst <= tol), worst, tol, detail)
+    cases += deviations(kp, "K=3 accuracies=(0.3, 0.7) N=8", {"solve_k_expert": solve_k_expert(kp)})
+    return _worst_case("online-oracle", cases, 1e-12)
 
 
 def check_residual_inequalities() -> CheckResult:
     """Sandwich inequalities of the log-telescoping residuals on a grid."""
-    worst = -math.inf
-    detail = ""
+    cases = []
     for a in (0.1, 1.0, 10.0):
         for r in np.arange(0.0, 50.0 + 1e-9, 0.25):
             eps_r, delta_r, eps_b, delta_b = log_telescoping_residuals(float(r), a)
-            violation = max(eps_r, eps_b - eps_r, -delta_r, delta_r - delta_b)
-            if violation > worst:
-                worst, detail = violation, f"r={r} a={a}"
-    tol = 1e-12
-    return CheckResult("residual-inequalities", worst <= tol, worst, tol, detail)
+            cases.append((max(eps_r, eps_b - eps_r, -delta_r, delta_r - delta_b), f"r={r} a={a}"))
+    return _worst_case("residual-inequalities", cases, 1e-12)
 
 
 def check_normal_approx_decay() -> CheckResult:
@@ -174,8 +171,7 @@ def check_normal_approx_decay() -> CheckResult:
 def check_dominance_chain() -> CheckResult:
     """online optimum >= offline optimum >= {ratio, false} >= no-information
     >= all-truths, at every tested instance."""
-    worst = -math.inf
-    detail = ""
+    cases = []
     for mu in (0.3, 0.5, 0.7):
         for n in (8, 12):
             params = ModelParams(epsilon=_EPS_DEFAULT, mu=mu, horizon=n)
@@ -193,11 +189,8 @@ def check_dominance_chain() -> CheckResult:
                 "false>=noinfo": v_ni - v_false,
                 "noinfo>=true": v_true - v_ni,
             }
-            for link, gap in links.items():
-                if gap > worst:
-                    worst, detail = gap, f"mu={mu} N={n} {link}"
-    tol = 1e-9
-    return CheckResult("dominance-chain", bool(worst <= tol), worst, tol, detail)
+            cases += [(gap, f"mu={mu} N={n} {link}") for link, gap in links.items()]
+    return _worst_case("dominance-chain", cases, 1e-9)
 
 
 def check_bounds_sandwich() -> CheckResult:

@@ -1,6 +1,10 @@
 """CLI scenarios: config handling, CSV/SVG output, exit codes, verify suite."""
 
+import argparse
 import csv
+import importlib
+import inspect
+import json
 import math
 import os
 import subprocess
@@ -20,7 +24,7 @@ from mwadversary import (
     two_honest_value,
     verify,
 )
-from mwadversary.cli import ConfigError, main, parse_config_file, resolve_config
+from mwadversary.cli import ConfigError, build_parser, main, parse_config_file, resolve_config
 from mwadversary.exact_eval import value_block_policy
 from mwadversary.output import fmt
 from mwadversary.policies import OfflinePolicy, block_form
@@ -461,6 +465,55 @@ def test_csv_matches_golden_bytes(tmp_path, name, argv):
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+_FLAGS = [
+    ("--config", "INI-style key=value file"),
+    ("--N", "comma list of horizons"),
+    ("--mu", "honest accuracy (comma list pairs with rho0)"),
+    ("--rho0", "adversary initial relative weight"),
+    ("--epsilon", "multiplicative penalty in (0,1)"),
+    ("--trials", "Monte Carlo trials"),
+    ("--seed", "root RNG seed"),
+    ("--out", "output CSV path"),
+    ("--svg", "emit SVG charts"),
+    ("--policy", "policies for eval-offline"),
+    ("--q", "truth probability for the random policy"),
+    ("--accuracies", "honest accuracies for multi-expert"),
+    ("--weights", "initial weights (adversary first)"),
+    ("--offline_opt_max_n", "largest N for the exhaustive column"),
+    ("--exact_dp_max_n", "largest N for the exact K-expert column"),
+    ("--max_denominator", "rational-approximation bound for ratio policy"),
+]
+
+
+@pytest.mark.parametrize("scenario", ["eval-offline", "solve-online", "compare", "multi-expert",
+                                      "verify"])
+def test_flags_keep_their_order_and_help(scenario):
+    """Every scenario takes -h, then --config and one flag per config key,
+    in this order and with this help text (argparse's layout is not pinned)."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[scenario]._actions
+    assert actions[0].option_strings == ["-h", "--help"]
+    assert [(a.option_strings[-1], a.help) for a in actions[1:]] == _FLAGS
+
+
+def test_benchmark_layer_metrics_name_public_functions():
+    """Every per-layer metric <layer>.<function>.calls|self_s of BENCHMARK.json
+    names a public function defined in mwadversary.<layer>, so deleting or
+    renaming one fails here rather than in a traced benchmark run."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    missing = []
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) != 3 or parts[2] not in ("calls", "self_s"):
+            continue
+        module = importlib.import_module(f"mwadversary.{parts[0]}")
+        fn = getattr(module, parts[1], None)
+        if (parts[1].startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != module.__name__):
+            missing.append(metric["name"])
+    assert not missing
 
 
 class TestHorizonGrouping:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from mwadversary import (
     ExpertState,
+    KExpertParams,
     ModelParams,
     binomial,
+    false_policy,
     mw_step,
     system_prediction,
     weight_power,
@@ -64,6 +66,24 @@ class TestModelParams:
         assert p.q(0.5) == 0.25
 
 
+@pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda n: params(horizon=n),
+    lambda n: KExpertParams(epsilon=0.5, horizon=n, accuracies=(0.5,), initial_weights=(1.0, 1.0)),
+    false_policy,
+], ids=["ModelParams", "KExpertParams", "false_policy"])
+def test_non_finite_horizon_is_a_value_error(build, horizon):
+    with pytest.raises(ValueError, match="horizon must be a positive integer"):
+        build(horizon)
+
+
+@pytest.mark.parametrize("horizon", [7, np.int64(7), 7.0, np.float64(7.0)])
+def test_integral_horizon_types_are_accepted(horizon):
+    assert params(horizon=horizon).horizon == 7
+    assert type(params(horizon=horizon).horizon) is int
+    assert false_policy(horizon).horizon == 7
+
+
 class TestWeightMaps:
     def test_g_fixed_point_at_one(self):
         for eps in (0.1, 1 / E, 0.9):
@@ -108,7 +128,12 @@ class TestWeightPower:
             assert weight_power(0, rho, params()) == pytest.approx(rho, abs=1e-14)
 
     def test_anchor(self):
-        assert weight_power(2, 0.5, params()) == pytest.approx(1 / (1 + E**2), abs=1e-14)
+        w = weight_power(2, 0.5, params())
+        assert type(w) is float and w == pytest.approx(1 / (1 + E**2), abs=1e-14)
+
+    def test_unit_weight_is_a_fixed_point(self):
+        assert weight_power(5, 1.0, params()) == 1.0
+        assert weight_power(np.arange(-3, 4), 1.0, params()).tolist() == [1.0] * 7
 
     def test_matches_iterated_composition(self):
         p = params(epsilon=0.4)
@@ -186,7 +211,7 @@ class TestSystemPrediction:
 class TestMwStep:
     def test_both_correct_unchanged(self):
         s = mw_step(ExpertState(np.array([1.0, 1.0])), [1, 1], 1, params())
-        assert np.array_equal(s.weights, [1.0, 1.0]) and s.stage == 1
+        assert np.array_equal(s.weights, [1.0, 1.0])
 
     def test_adversary_punished(self):
         s = mw_step(ExpertState(np.array([1.0, 1.0])), [0, 1], 1, params())
@@ -248,14 +273,14 @@ class TestBinomial:
     def test_empty(self):
         d = binomial(0, 0.5)
         assert d.pmf.tolist() == [1.0]
-        assert d.tail(0) == 0.0 and d.tail(-1) == 1.0
+        assert d.tails.tolist() == [0.0]
 
     def test_two_trials(self):
         d = binomial(2, 0.5)
         np.testing.assert_allclose(d.pmf, [0.25, 0.5, 0.25], atol=1e-15)
-        assert d.tail(0) == pytest.approx(0.75, abs=1e-15)
-        assert d.tail(1) == pytest.approx(0.25, abs=1e-15)
-        assert d.tail(2) == 0.0
+        assert d.tails[0] == pytest.approx(0.75, abs=1e-15)
+        assert d.tails[1] == pytest.approx(0.25, abs=1e-15)
+        assert d.tails[2] == 0.0
 
     def test_degenerate_p(self):
         assert binomial(5, 1.0).pmf.tolist() == [0, 0, 0, 0, 0, 1]

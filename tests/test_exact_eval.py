@@ -117,13 +117,11 @@ class TestOffsetDistribution:
 
     def test_single_lie(self):
         d = offset_distribution(1, 0, 0.3)
-        assert d.prob(0) == pytest.approx(0.7) and d.prob(1) == pytest.approx(0.3)
+        assert d.support_min == 0 and d.masses == pytest.approx([0.7, 0.3])
 
     def test_one_each(self):
         d = offset_distribution(1, 1, 0.5)
-        assert d.prob(-1) == pytest.approx(0.25)
-        assert d.prob(0) == pytest.approx(0.5)
-        assert d.prob(1) == pytest.approx(0.25)
+        assert d.support_min == -1 and d.masses == pytest.approx([0.25, 0.5, 0.25])
 
     @pytest.mark.parametrize("n,m,mu", [(4, 7, 0.3), (10, 0, 0.6), (0, 9, 0.5), (12, 12, 0.71)])
     def test_support_and_mass(self, n, m, mu):

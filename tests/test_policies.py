@@ -18,6 +18,7 @@ from mwadversary import (
     ratio_policy,
     true_policy,
 )
+from mwadversary.policies import _ratio_pair
 
 F, T = Decision.LIE, Decision.TRUTH
 
@@ -57,7 +58,6 @@ class TestRatioPolicy:
     def test_degenerate_horizon_falls_back(self):
         pol = ratio_policy(params(0.5, 2))
         assert pol.decisions == false_policy(2).decisions
-        assert pol.note is not None
 
     def test_too_small_horizon_raises(self):
         with pytest.raises(ValueError):
@@ -69,12 +69,14 @@ class TestRatioPolicy:
         pol = ratio_policy(params(mu, n))
         blocks = block_form(pol).blocks
         assert sum(a + b for a, b in blocks) == n
-        if pol.note:
+        b, a = _ratio_pair(mu, 20)
+        if n // 2 < a + b:  # not even one prefix pair fits: the false policy
             assert blocks == ((n, 0),)
         # terminal lie block covers at least half the horizon
         assert blocks[-1][1] == 0
         assert blocks[-1][0] >= math.ceil(n / 2)
-        assert pol.lie_count >= n - pol.lie_count
+        lies = pol.to_text().count("F")
+        assert lies >= n - lies
 
     def test_balanced_prefix_alternates(self):
         pol = ratio_policy(params(0.5, 20))
@@ -97,7 +99,7 @@ class TestRandomPolicy:
     @pytest.mark.parametrize("seed", [0, 1, 99])
     def test_lie_fraction_concentrates(self, seed):
         pol = random_policy(10_000, 0.5, seed)
-        assert 0.47 <= pol.lie_count / 10_000 <= 0.53
+        assert 0.47 <= pol.to_text().count("F") / 10_000 <= 0.53
 
     def test_deterministic_given_seed(self):
         assert random_policy(50, 0.3, 7) == random_policy(50, 0.3, 7)
