@@ -52,10 +52,15 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
+def _is_count(x) -> bool:
+    """A whole number >= 0 (int, NumPy integer or integral float), not inf or NaN."""
+    return 0 <= x < math.inf and int(x) == x
+
+
 def _check_horizon(horizon) -> int:
-    """``horizon`` as an int, if it is a whole number >= 1 (a Python or NumPy
-    integer, or an integral float); a ValueError otherwise, inf and NaN too."""
-    if not (1 <= horizon < math.inf and int(horizon) == horizon):
+    """``horizon`` as an int, if it is a whole number >= 1; a ValueError
+    otherwise, inf and NaN too."""
+    if not (_is_count(horizon) and horizon >= 1):
         raise ValueError(f"horizon must be a positive integer, got {horizon}")
     return int(horizon)
 
@@ -231,7 +236,7 @@ def binomial(trials: int, p: float) -> BinomialDist:
     The recurrence is anchored at the mode when the usual start value
     (1-p)**n would underflow, so very long horizons stay usable.
     """
-    if int(trials) != trials or trials < 0:
+    if not _is_count(trials):
         raise ValueError(f"trials must be a nonnegative integer, got {trials}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability must be in [0, 1], got {p}")

@@ -1,13 +1,14 @@
 """Exact expected-loss evaluation of offline policies.
 
-Everything here is exact (up to double precision): all-lies and all-truths
-runs collapse to binomial tail sums, arbitrary block policies are evaluated
-by pushing an exact integer-offset distribution through the blocks, policies
-that lie at each stage with a fixed probability (the no-adversary and
-no-information baselines among them) by pushing it one stage at a time, which
-gives every prefix horizon in the same pass, and two brute-force enumerators
-(over honest sample paths, and over entire policy trees) serve as
-independent oracles.  The module also provides numeric verifiers for the
+Everything here is exact (up to double precision): block policies, the
+all-lies and all-truths policies among them, are evaluated one straight run
+at a time, each run reading a binomial tail sum and a convolution of the
+integer-offset distribution off one binomial law; policies that lie at each
+stage with a fixed probability (the no-adversary and no-information
+baselines among them) by pushing that distribution one stage at a time,
+which gives every prefix horizon in the same pass, and two brute-force
+enumerators (over honest sample paths, and over entire policy trees) serve
+as independent oracles.  The module also provides numeric verifiers for the
 two analytic inequalities the normal-CDF approximation analysis rests on.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import GuardError, ModelParams, binomial, weight_power
+from .core import BinomialDist, GuardError, ModelParams, binomial, weight_power
 from .policies import BlockForm, Decision, OfflinePolicy, _ratio_pair, block_form
 
 __all__ = [
@@ -73,10 +74,10 @@ class OffsetDistribution:
         m = np.asarray(self.masses, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a nonempty 1-D vector")
-        if np.any(m < -1e-12):
+        if not np.all(m >= -1e-12):  # written so that NaN fails
             raise ValueError("masses must be nonnegative")
         total = m.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"masses must sum to 1, got {total}")
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "support_min", int(self.support_min))
@@ -89,19 +90,14 @@ class OffsetDistribution:
     def support(self) -> np.ndarray:
         return np.arange(self.support_min, self.support_min + self.masses.size)
 
-    def after_lies(self, n: int, mu: float) -> "OffsetDistribution":
-        """Convolve in ``n`` lying stages: each adds +1 with probability mu."""
-        return OffsetDistribution(
-            self.support_min, np.convolve(self.masses, binomial(n, mu).pmf)
-        )
-
-    def after_truths(self, m: int, mu: float) -> "OffsetDistribution":
-        """Convolve in ``m`` truthful stages: each adds -1 with probability
-        1 - mu."""
-        return OffsetDistribution(
-            self.support_min - m,
-            np.convolve(self.masses, binomial(m, 1.0 - mu).pmf[::-1]),
-        )
+    def after_run(self, law: BinomialDist, lie: bool) -> "OffsetDistribution":
+        """Convolve in a run of ``law.trials`` lies (``law`` = Bin(n, mu): each
+        adds +1 with probability mu) or truths (``law`` = Bin(n, 1 - mu): each
+        adds -1 with probability 1 - mu)."""
+        if lie:
+            return OffsetDistribution(self.support_min, np.convolve(self.masses, law.pmf))
+        return OffsetDistribution(self.support_min - law.trials,
+                                  np.convolve(self.masses, law.pmf[::-1]))
 
 
 def _offset_losses(params: ModelParams, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -140,33 +136,37 @@ def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribu
     """Exact law of the offset after ``n_lies`` lies and ``m_truths`` truths
     (in any order): X - Y with X ~ Bin(n, mu) independent of
     Y ~ Bin(m, 1 - mu)."""
-    if n_lies < 0 or m_truths < 0:
-        raise ValueError("counts must be nonnegative")
-    return (
-        OffsetDistribution.point()
-        .after_lies(int(n_lies), mu)
-        .after_truths(int(m_truths), mu)
-    )
+    return (OffsetDistribution.point()
+            .after_run(binomial(n_lies, mu), True)
+            .after_run(binomial(m_truths, 1.0 - mu), False))
 
 
-def _straight_run(n: int, lie: bool, start, losses: tuple[np.ndarray, np.ndarray],
-                  params: ModelParams):
-    """Binomial-tail sum of a run of ``n`` lies (or truths) from offset
-    ``start``, one sum per offset if ``start`` is a vector, each reading Q
-    off one window of the per-offset table ``losses`` (:func:`_offset_losses`):
-    the run's (i+1)-th weight-moving stage occurs with probability
-    P(Bin(n, p) > i) and costs Q at the offset i steps from the start.  A
-    zero-length run sums to exactly 0.0; a run that would leave offsets
-    -N..N is an error."""
-    horizon = params.horizon
-    p, step = (params.mu, 1) if lie else (1.0 - params.mu, -1)
-    q = losses[0] if lie else losses[1][::-1]  # a truth run walks the table downwards
-    first = step * np.asarray(start) + horizon  # index in q of each run's first stage
-    if n < 0 or first.min() < 0 or first.max() > q.size - 1 - n:
-        raise ValueError(f"a run of {n} from offsets {start} leaves -{horizon}..{horizon}")
+def _run(total: float, dist: OffsetDistribution, law: BinomialDist, lie: bool,
+         losses: tuple[np.ndarray, np.ndarray], params: ModelParams):
+    """Add to ``total`` a run of ``law.trials`` lies (``law`` = Bin(n, mu)) or
+    truths (``law`` = Bin(n, 1 - mu)) from offset law ``dist``; returns the new
+    total and offset law.
+
+    A stage that leaves the weight alone costs Q(1) in a lie run (the honest
+    expert errs), Q(0) in a truth run.  The (i+1)-th weight-moving stage
+    occurs with probability P(Bin > i) and costs Q at the offset i steps from
+    the start, read off one window of the per-offset table ``losses``
+    (:func:`_offset_losses`).  A zero-length run adds exactly 0.0; a run that
+    would leave offsets -N..N is an error.
+    """
+    n, mu, horizon = law.trials, params.mu, params.horizon
+    if lie:
+        total += n * (1.0 - mu) * params.q(1.0)
+        q, first = losses[0], horizon + dist.support  # index in q of each run's first stage
+    else:
+        total += n * mu * params.q(0.0)
+        q, first = losses[1][::-1], horizon - dist.support  # walks the table downwards
+    if first.min() < 0 or first.max() > q.size - 1 - n:
+        raise ValueError(f"a run of {n} from offsets {dist.support} leaves -{horizon}..{horizon}")
     windows = as_strided(q, (q.size - n, n + 1), q.strides * 2, writeable=False)
     # a strided operand can change the order in which @ sums, so gather contiguous rows
-    return np.ascontiguousarray(windows[first]) @ binomial(n, p).tails
+    total += float(dist.masses @ (np.ascontiguousarray(windows[first]) @ law.tails))
+    return total, dist.after_run(law, lie)
 
 
 def value_false(n: int, rho: float, params: ModelParams) -> float:
@@ -177,16 +177,16 @@ def value_false(n: int, rho: float, params: ModelParams) -> float:
     alone; the stages where it is correct cost Q at successively punished
     weights, which collapses to a binomial tail sum.  O(N) arithmetic.
     """
-    losses = _offset_losses(params, rho)
-    return n * (1.0 - params.mu) * params.q(1.0) + float(_straight_run(n, True, 0, losses, params))
+    return _run(0.0, OffsetDistribution.point(), binomial(n, params.mu), True,
+                _offset_losses(params, rho), params)[0]
 
 
 def value_true(n: int, rho: float, params: ModelParams) -> float:
     """Expected loss of telling the truth for ``n`` consecutive stages from
     relative weight ``rho`` (mirror of :func:`value_false` with rewarded
     weights and the honest expert's error rate)."""
-    losses = _offset_losses(params, rho)
-    return n * params.mu * params.q(0.0) + float(_straight_run(n, False, 0, losses, params))
+    return _run(0.0, OffsetDistribution.point(), binomial(n, 1.0 - params.mu), False,
+                _offset_losses(params, rho), params)[0]
 
 
 def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
@@ -201,24 +201,12 @@ def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
         raise ValueError(
             f"blocks cover {blocks.horizon} stages but the horizon is {params.horizon}"
         )
-    losses = _offset_losses(params, params.rho0)
+    mu, losses = params.mu, _offset_losses(params, params.rho0)
     total, dist = 0.0, OffsetDistribution.point()
     for n, m in blocks:
-        total, dist = _block_step(total, dist, n, m, losses, params)
+        total, dist = _run(total, dist, binomial(n, mu), True, losses, params)
+        total, dist = _run(total, dist, binomial(m, 1.0 - mu), False, losses, params)
     return total
-
-
-def _block_step(total: float, dist: OffsetDistribution, n: int, m: int,
-                losses: tuple[np.ndarray, np.ndarray], params: ModelParams):
-    """Add ``n`` lies then ``m`` truths from offset law ``dist`` to ``total``,
-    reading Q off ``losses`` (see :func:`_offset_losses`); new (total, law)."""
-    mu = params.mu
-    total += n * (1.0 - mu) * params.q(1.0)
-    total += float(dist.masses @ _straight_run(n, True, dist.support, losses, params))
-    dist = dist.after_lies(n, mu)
-    total += m * mu * params.q(0.0)
-    total += float(dist.masses @ _straight_run(m, False, dist.support, losses, params))
-    return total, dist.after_truths(m, mu)
 
 
 def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> np.ndarray:
@@ -227,22 +215,25 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
 
     All share the (b lies, a truths) prefix pairs, and horizon N is p pairs
     then one lie run, so one walk over the pairs serves every horizon: on
-    reaching a horizon's p it charges its lie run (p = 0: all lies).
+    reaching a horizon's p it charges its lie run (p = 0: all lies).  The
+    pair's two laws are built once for the walk.
     """
     ns = [int(n) for n in horizons]
     if any(not 2 <= n <= params.horizon for n in ns):
         raise ValueError(f"horizons must lie in [2, {params.horizon}], got {ns}")
-    b, a = _ratio_pair(params.mu, max_denominator)
-    pairs = [(n // 2) // (a + b) for n in ns]
+    mu, losses = params.mu, _offset_losses(params, params.rho0)
+    b, a, _ = _ratio_pair(mu, max_denominator, params.horizon)
+    pairs = [_ratio_pair(mu, max_denominator, n)[2] for n in ns]
+    lies, truths = binomial(b, mu), binomial(a, 1.0 - mu)
     out = np.zeros(len(ns))
-    losses = _offset_losses(params, params.rho0)
     total, dist = 0.0, OffsetDistribution.point()
     for p in range(max(pairs, default=-1) + 1):
         if p:
-            total, dist = _block_step(total, dist, b, a, losses, params)
+            total, dist = _run(total, dist, lies, True, losses, params)
+            total, dist = _run(total, dist, truths, False, losses, params)
         for i, n in enumerate(ns):
             if pairs[i] == p:
-                out[i] = _block_step(total, dist, n - p * (a + b), 0, losses, params)[0]
+                out[i] = _run(total, dist, binomial(n - p * (a + b), mu), True, losses, params)[0]
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams, _check_horizon
+from .core import ModelParams, _check_horizon, _is_count
 
 __all__ = [
     "Decision",
@@ -79,7 +79,7 @@ class BlockForm:
         norm = []
         last = len(self.blocks) - 1
         for i, (n, m) in enumerate(self.blocks):
-            if int(n) != n or int(m) != m or n < 0 or m < 0:
+            if not (_is_count(n) and _is_count(m)):
                 raise ValueError(f"block lengths must be nonnegative integers, got {(n, m)}")
             if n == 0 and i != 0:
                 raise ValueError("only the first lie block may be empty")
@@ -110,11 +110,14 @@ def true_policy(horizon: int) -> OfflinePolicy:
     return OfflinePolicy((Decision.TRUTH,) * n)
 
 
-def _ratio_pair(mu: float, max_denominator: int) -> tuple[int, int]:
-    """The ratio policy's (b lies, a truths) pair: a/b approximates mu/(1-mu)
-    with denominator at most ``max_denominator``, each count at least 1."""
+def _ratio_pair(mu: float, max_denominator: int, horizon: int) -> tuple[int, int, int]:
+    """The ratio policy's (b lies, a truths) pair and how many of them open
+    ``horizon``: a/b approximates mu/(1-mu) with denominator at most
+    ``max_denominator``, each count at least 1, and pairs are stacked while
+    they fit in the first half of the horizon."""
     frac = Fraction(mu / (1.0 - mu)).limit_denominator(max_denominator)
-    return max(int(frac.denominator), 1), max(int(frac.numerator), 1)
+    b, a = max(int(frac.denominator), 1), max(int(frac.numerator), 1)
+    return b, a, (horizon // 2) // (a + b)
 
 
 def ratio_policy(params: ModelParams, max_denominator: int = 20) -> OfflinePolicy:
@@ -132,8 +135,7 @@ def ratio_policy(params: ModelParams, max_denominator: int = 20) -> OfflinePolic
     """
     if params.horizon < 2:
         raise ValueError("ratio policy needs horizon >= 2")
-    b, a = _ratio_pair(params.mu, max_denominator)
-    pairs = (params.horizon // 2) // (a + b)
+    b, a, pairs = _ratio_pair(params.mu, max_denominator, params.horizon)
     tail = params.horizon - pairs * (a + b)
     blocks = BlockForm(tuple([(b, a)] * pairs + [(tail, 0)]))
     return from_blocks(blocks)

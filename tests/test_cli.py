@@ -454,6 +454,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("name, argv", [
     ("compare", ["compare", "--N", "4,8,12", "--mu", "0.3,0.7", "--offline_opt_max_n", "12"]),
+    ("compare_long", ["compare", "--N", "1000,2000", "--mu", "0.3,0.5,0.7"]),
     ("eval_offline", ["eval-offline", "--N", "9", "--mu", "0.3,0.5",
                       "--policy", "false,true,ratio,random,FTFTFTFTF"]),
     ("solve_online", ["solve-online", "--N", "10,20", "--mu", "0.3,0.7", "--trials", "50"]),

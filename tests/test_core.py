@@ -315,3 +315,8 @@ class TestBinomial:
             binomial(-1, 0.5)
         with pytest.raises(ValueError):
             binomial(3, 1.5)
+
+    @pytest.mark.parametrize("trials", [math.inf, -math.inf, math.nan, 2.5])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
+            binomial(trials, 0.5)

@@ -34,7 +34,8 @@ from mwadversary import (
     weight_power,
 )
 from mwadversary.core import GuardError, binomial
-from mwadversary.exact_eval import _offset_losses, _straight_run
+from mwadversary import exact_eval
+from mwadversary.exact_eval import _offset_losses, _run
 from mwadversary.policies import Decision
 
 E = math.e
@@ -131,19 +132,25 @@ class TestOffsetDistribution:
         assert abs(d.masses.sum() - 1.0) <= 1e-12
         assert np.all(d.masses >= 0)
 
+    @pytest.mark.parametrize("masses", [[np.nan, 1.0], [0.5, np.nan, 0.5]])
+    def test_non_finite_mass_rejected(self, masses):
+        with pytest.raises(ValueError):
+            OffsetDistribution(0, np.array(masses))
+
     def test_block_order_independence(self):
         """Permuting blocks that keep total lies/truths leaves the final
         offset law unchanged (the running losses do differ)."""
         mu = 0.37
+        lies, truths = (lambda n: binomial(n, mu)), (lambda m: binomial(m, 1.0 - mu))
         a = (
             offset_distribution(0, 0, mu)
-            .after_lies(3, mu).after_truths(2, mu)
-            .after_lies(1, mu).after_truths(4, mu)
+            .after_run(lies(3), True).after_run(truths(2), False)
+            .after_run(lies(1), True).after_run(truths(4), False)
         )
         b = (
             offset_distribution(0, 0, mu)
-            .after_truths(4, mu).after_lies(1, mu)
-            .after_truths(2, mu).after_lies(3, mu)
+            .after_run(truths(4), False).after_run(lies(1), True)
+            .after_run(truths(2), False).after_run(lies(3), True)
         )
         c = offset_distribution(4, 6, mu)
         assert a.support_min == b.support_min == c.support_min
@@ -199,10 +206,10 @@ def grid_block_value(blocks, p):
     for n, m in blocks:
         total += n * (1.0 - mu) * p.q(1.0)
         total += float(dist.masses @ grid_run(n, True, dist.support, p.rho0, p))
-        dist = dist.after_lies(n, mu)
+        dist = dist.after_run(binomial(n, mu), True)
         total += m * mu * p.q(0.0)
         total += float(dist.masses @ grid_run(m, False, dist.support, p.rho0, p))
-        dist = dist.after_truths(m, mu)
+        dist = dist.after_run(binomial(m, 1.0 - mu), False)
     return total
 
 
@@ -246,8 +253,21 @@ class TestOffsetLossTable:
     ])
     def test_run_leaving_the_table_raises(self, n, lie, start):
         p = params(horizon=2)
+        width = start[-1] - start[0] + 1
+        dist = OffsetDistribution(start[0], np.full(width, 1.0 / width))
         with pytest.raises(ValueError):
-            _straight_run(n, lie, np.array(start), _offset_losses(p, p.rho0), p)
+            _run(0.0, dist, binomial(n, p.mu if lie else 1.0 - p.mu), lie,
+                 _offset_losses(p, p.rho0), p)
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+def test_non_integer_run_length_is_a_value_error(n):
+    p = params(horizon=4)
+    for call in (lambda: value_false(n, 0.5, p), lambda: value_true(n, 0.5, p),
+                 lambda: offset_distribution(n, 1, 0.3), lambda: offset_distribution(1, n, 0.3),
+                 lambda: berry_esseen_check(n, 0, 0.3)):
+        with pytest.raises(ValueError, match="trials must be a nonnegative integer"):
+            call()
 
 
 class TestBruteForce:
@@ -370,6 +390,20 @@ class TestRatioPolicyValues:
         for n, value in zip([12, 150], ratio_policy_values([12, 150], p, 3)):
             pn = params(0.37, n, 0.6)
             assert value == policy_value(ratio_policy(pn, max_denominator=3), pn)
+
+    def test_walk_builds_each_run_law_once(self, monkeypatch):
+        """Bin(b, mu) and Bin(a, 1 - mu) serve every prefix pair, and each
+        horizon's terminal lie run builds one more law."""
+        built = []
+
+        def counting_binomial(trials, p):
+            built.append((trials, p))
+            return binomial(trials, p)
+
+        monkeypatch.setattr(exact_eval, "binomial", counting_binomial)
+        horizons = list(range(100, 2001, 100))
+        ratio_policy_values(horizons, params(0.3, 2000), 20)
+        assert len(built) <= 2 + len(horizons)
 
     def test_rejects_horizons_outside_params(self):
         with pytest.raises(ValueError):

@@ -69,9 +69,10 @@ class TestRatioPolicy:
         pol = ratio_policy(params(mu, n))
         blocks = block_form(pol).blocks
         assert sum(a + b for a, b in blocks) == n
-        b, a = _ratio_pair(mu, 20)
-        if n // 2 < a + b:  # not even one prefix pair fits: the false policy
-            assert blocks == ((n, 0),)
+        b, a, pairs = _ratio_pair(mu, 20, n)
+        # as many (b, a) pairs as fit in half the horizon; none gives the false policy
+        assert pairs * (a + b) <= n / 2 < (pairs + 1) * (a + b)
+        assert blocks == ((b, a),) * pairs + ((n - pairs * (a + b), 0),)
         # terminal lie block covers at least half the horizon
         assert blocks[-1][1] == 0
         assert blocks[-1][0] >= math.ceil(n / 2)
@@ -124,6 +125,12 @@ class TestBlockForm:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             BlockForm(((-1, 2),))
+
+    @pytest.mark.parametrize("blocks", [((math.inf, 2),), ((2, -math.inf),), ((math.nan, 1),),
+                                        ((2.5, 1),)])
+    def test_non_integer_lengths_rejected(self, blocks):
+        with pytest.raises(ValueError, match="block lengths must be nonnegative integers"):
+            BlockForm(blocks)
 
     def test_horizon(self):
         assert BlockForm(((2, 3), (1, 0))).horizon == 6
