@@ -57,12 +57,12 @@ def _is_count(x) -> bool:
     return 0 <= x < math.inf and int(x) == x
 
 
-def _check_horizon(horizon) -> int:
-    """``horizon`` as an int, if it is a whole number >= 1; a ValueError
-    otherwise, inf and NaN too."""
-    if not (_is_count(horizon) and horizon >= 1):
-        raise ValueError(f"horizon must be a positive integer, got {horizon}")
-    return int(horizon)
+def _positive_int(name: str, x) -> int:
+    """``x`` as an int, if it is a whole number >= 1; a ValueError naming
+    ``name`` otherwise, inf and NaN too (horizons, trial counts)."""
+    if not (_is_count(x) and x >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {x}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class ModelParams:
         _check_epsilon(self.epsilon)
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must be strictly inside (0, 1), got {self.mu}")
-        object.__setattr__(self, "horizon", _check_horizon(self.horizon))
+        object.__setattr__(self, "horizon", _positive_int("horizon", self.horizon))
         if not 0.0 < self.rho0 < 1.0:
             raise ValueError(f"rho0 must be in (0, 1), got {self.rho0}")
         if self.loss is not None:
@@ -169,8 +169,8 @@ class ExpertState:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("need a 1-D vector of at least two expert weights")
-        if np.any(w <= 0.0):
-            raise ValueError("expert weights must be strictly positive")
+        if not np.all((w > 0.0) & (w < math.inf)):  # written so that NaN fails
+            raise ValueError("expert weights must be finite and strictly positive")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -219,7 +219,6 @@ class BinomialDist:
     """Exact binomial pmf and its tail probabilities."""
 
     trials: int
-    success_prob: float
     pmf: np.ndarray
 
     @property
@@ -244,10 +243,10 @@ def binomial(trials: int, p: float) -> BinomialDist:
     pmf = np.zeros(n + 1)
     if n == 0 or p == 0.0:
         pmf[0] = 1.0
-        return BinomialDist(n, float(p), pmf)
+        return BinomialDist(n, pmf)
     if p == 1.0:
         pmf[n] = 1.0
-        return BinomialDist(n, float(p), pmf)
+        return BinomialDist(n, pmf)
 
     log_p0 = n * math.log1p(-p)
     if log_p0 > -_MAX_EXP:
@@ -270,4 +269,4 @@ def binomial(trials: int, p: float) -> BinomialDist:
     if anchor > 0:
         i = np.arange(anchor, 0, -1)
         pmf[anchor - 1 :: -1] = pmf[anchor] * np.cumprod(i / ((n - i + 1.0) * r))
-    return BinomialDist(n, float(p), pmf)
+    return BinomialDist(n, pmf)

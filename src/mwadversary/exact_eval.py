@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import BinomialDist, GuardError, ModelParams, binomial, weight_power
+from .core import BinomialDist, GuardError, ModelParams, _is_count, binomial, weight_power
 from .policies import BlockForm, Decision, OfflinePolicy, _ratio_pair, block_form
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "log_telescoping_residuals",
     "berry_esseen_check",
     "mixed_policy_values",
+    "policy_value",
     "two_honest_value",
     "two_honest_values",
     "normal_cdf",
@@ -72,6 +73,8 @@ class OffsetDistribution:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.masses, dtype=float)
+        if not _is_count(abs(self.support_min)):
+            raise ValueError(f"support_min must be an integer, got {self.support_min}")
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a nonempty 1-D vector")
         if not np.all(m >= -1e-12):  # written so that NaN fails
@@ -218,9 +221,10 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
     reaching a horizon's p it charges its lie run (p = 0: all lies).  The
     pair's two laws are built once for the walk.
     """
-    ns = [int(n) for n in horizons]
-    if any(not 2 <= n <= params.horizon for n in ns):
-        raise ValueError(f"horizons must lie in [2, {params.horizon}], got {ns}")
+    ns = list(horizons)
+    if not all(_is_count(n) and 2 <= n <= params.horizon for n in ns):
+        raise ValueError(f"horizons must be integers in [2, {params.horizon}], got {ns}")
+    ns = [int(n) for n in ns]
     mu, losses = params.mu, _offset_losses(params, params.rho0)
     b, a, _ = _ratio_pair(mu, max_denominator, params.horizon)
     pairs = [_ratio_pair(mu, max_denominator, n)[2] for n in ns]
@@ -338,10 +342,10 @@ def log_telescoping_residuals(r: float, a: float) -> tuple[float, float, float, 
     and the claimed inequalities are eps_bound <= eps_r <= 0 and
     0 <= delta_r <= delta_bound (a = 1/rho - 1 for a weight rho).
     """
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    if not 0 <= r < math.inf:  # written so that NaN fails
+        raise ValueError(f"r must be finite and nonnegative, got {r}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and positive, got {a}")
     la = math.log(a)
 
     def f(t: float) -> float:

@@ -7,8 +7,9 @@ Q is solved, as it enters only through each offset's one-stage costs.  State
 (k, j) of a horizon-N solve is the start of a horizon N-k problem shifted by
 offset j, so the values-only pass keeps one stage in O(N) memory and reads
 the optimum of every horizon 0..N off offset 0 as it goes; a played policy
-keeps one bit (its action) per state, and the full table of values, actions
-and ties serves the tests.  The passes' oracle is ``verify.expectimax_value``.
+keeps one bit (its action) per state; the full table, an ``OnlinePolicy``
+that also keeps values and ties, stays as ``BENCHMARK.json`` names
+``solve_two_expert``.  The passes' oracle is ``verify.expectimax_value``.
 Also here: the exact K-expert model on a mistake-count grid (one two-point
 average per honest expert, along its axis), a clairvoyant solver that takes
 a block of realizations in one pass with its Monte Carlo harness, and the
@@ -23,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GuardError, ModelParams, _check_epsilon, _check_horizon
+from .core import GuardError, ModelParams, _check_epsilon, _positive_int
 from .exact_eval import _offset_losses, _stage_costs, mixed_policy_values
-from .policies import Decision
 
 __all__ = [
     "ValueTable",
@@ -51,51 +51,6 @@ _TRIAL_CHUNK = 250  # trials per block of draws in simulate_online and monte_car
 _K_EXPERT_MAX_K = 5
 _K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
-
-
-@dataclass(eq=False)
-class ValueTable:
-    """Backward-induction output for the two-expert model.
-
-    ``values[k]`` holds the optimal continuation loss at stage k for offsets
-    j = -k..k (index j + k); ``lie_optimal[k]`` the maximizing action with
-    ties resolved toward lying, and ``tie_flags[k]`` marks where both
-    actions are optimal to within tolerance.  ``states_evaluated`` counts
-    state evaluations (exactly the sum of 2k+1 over the solved stages).
-    """
-
-    params: ModelParams
-    values: list[np.ndarray]
-    lie_optimal: list[np.ndarray]
-    tie_flags: list[np.ndarray]
-    states_evaluated: int
-
-    @property
-    def horizon(self) -> int:
-        return self.params.horizon
-
-    @property
-    def root_value(self) -> float:
-        return float(self.values[0][0])
-
-    def value(self, k: int, j: int) -> float:
-        self._check_state(k, j)
-        return float(self.values[k][j + k])
-
-    def action(self, k: int, j: int) -> Decision:
-        self._check_state(k, j, action=True)
-        return Decision.LIE if self.lie_optimal[k][j + k] else Decision.TRUTH
-
-    def is_tie(self, k: int, j: int) -> bool:
-        self._check_state(k, j, action=True)
-        return bool(self.tie_flags[k][j + k])
-
-    def _check_state(self, k: int, j: int, action: bool = False) -> None:
-        top = self.horizon - 1 if action else self.horizon
-        if not 0 <= k <= top:
-            raise ValueError(f"stage {k} out of range")
-        if abs(j) > k:
-            raise ValueError(f"offset {j} unreachable at stage {k}")
 
 
 def _bellman_step(
@@ -125,24 +80,6 @@ def _backward(params: ModelParams) -> Iterator[tuple[int, np.ndarray, np.ndarray
         yield k, v, lie, truth
 
 
-def solve_two_expert(params: ModelParams) -> ValueTable:
-    """Fill the two-expert value table by backward induction over offsets,
-    keeping every stage's values, maximizing actions and tie flags."""
-    n = params.horizon
-    values: list[np.ndarray] = [np.empty(0)] * n + [np.zeros(2 * n + 1)]
-    lie_optimal: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
-    tie_flags: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
-    states = 0
-    for k, v, lie, truth in _backward(params):
-        values[k] = v
-        diff = lie - truth
-        lie_optimal[k] = diff >= 0.0
-        scale = np.maximum(1.0, np.maximum(np.abs(lie), np.abs(truth)))
-        tie_flags[k] = np.abs(diff) <= _TIE_TOL * scale
-        states += 2 * k + 1
-    return ValueTable(params, values, lie_optimal, tie_flags, states)
-
-
 @dataclass(frozen=True, eq=False)
 class _PackedActions(Sequence):
     """Actions packed eight to a byte: ``[k]`` unpacks stage k's 2k+1 bools (offset j at j + k)."""
@@ -159,11 +96,47 @@ class _PackedActions(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class OnlinePolicy:
-    """The optimal online adversary as played: root value and per-state actions."""
+    """The optimal online adversary as played: root value and per-state
+    actions; the full table :class:`ValueTable` is one that also keeps values
+    and ties."""
 
     params: ModelParams
     root_value: float
     lie_optimal: Sequence[np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class ValueTable(OnlinePolicy):
+    """An :class:`OnlinePolicy` that also keeps its values and ties, kept as
+    ``BENCHMARK.json`` names :func:`solve_two_expert`.
+
+    ``values[k]`` holds the optimal continuation loss at stage k for offsets
+    j = -k..k (index j + k), as ``lie_optimal[k]`` the action (ties lie) and
+    ``tie_flags[k]`` where both actions are optimal to within tolerance.
+    ``states_evaluated`` counts state evaluations (the sum of 2k+1).
+    """
+
+    values: list[np.ndarray]
+    tie_flags: list[np.ndarray]
+    states_evaluated: int
+
+
+def solve_two_expert(params: ModelParams) -> ValueTable:
+    """Fill the two-expert value table by backward induction over offsets,
+    keeping every stage's values, maximizing actions and tie flags."""
+    n = params.horizon
+    values: list[np.ndarray] = [np.empty(0)] * n + [np.zeros(2 * n + 1)]
+    lie_optimal: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
+    tie_flags: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
+    states = 0
+    for k, v, lie, truth in _backward(params):
+        values[k] = v
+        diff = lie - truth
+        lie_optimal[k] = diff >= 0.0
+        scale = np.maximum(1.0, np.maximum(np.abs(lie), np.abs(truth)))
+        tie_flags[k] = np.abs(diff) <= _TIE_TOL * scale
+        states += 2 * k + 1
+    return ValueTable(params, float(values[0][0]), lie_optimal, values, tie_flags, states)
 
 
 def optimal_policy(params: ModelParams) -> OnlinePolicy:
@@ -214,7 +187,7 @@ def _mc_summary(losses: np.ndarray, trials: int, seed: int) -> MCResult:
 
 
 def simulate_online(
-    params: ModelParams, policy: ValueTable | OnlinePolicy, trials: int, seed: int
+    params: ModelParams, policy: OnlinePolicy, trials: int, seed: int
 ) -> MCResult:
     """Play the policy's actions through ``trials`` independent episodes with
     honest predictions drawn i.i.d. at accuracy mu, charging Q of each
@@ -223,8 +196,7 @@ def simulate_online(
     root value."""
     if policy.params != params:
         raise ValueError("policy was solved for different parameters")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _positive_int("trials", trials)
     n = params.horizon
     rng = _philox(seed)
     # trial t's draws are row t of the seeded stream, stored stage-major
@@ -258,7 +230,7 @@ class KExpertParams:
             self, "initial_weights", tuple(float(w) for w in self.initial_weights)
         )
         _check_epsilon(self.epsilon)
-        object.__setattr__(self, "horizon", _check_horizon(self.horizon))
+        object.__setattr__(self, "horizon", _positive_int("horizon", self.horizon))
         if len(self.accuracies) < 1:
             raise ValueError("need at least one honest expert")
         if any(not 0.0 < a < 1.0 for a in self.accuracies):
@@ -379,8 +351,7 @@ def monte_carlo_k_expert(params: KExpertParams, trials: int, seed: int) -> MCRes
     known sequence (an upper bound on the online value that
     :func:`solve_k_expert` computes exactly).  Deterministic given the seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _positive_int("trials", trials)
     honest = params.n_experts - 1
     n = params.horizon
     mus = np.array(params.accuracies).reshape(1, honest, 1)

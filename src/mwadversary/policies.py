@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams, _check_horizon, _is_count
+from .core import ModelParams, _is_count, _positive_int
 
 __all__ = [
     "Decision",
@@ -100,13 +100,13 @@ class BlockForm:
 
 def false_policy(horizon: int) -> OfflinePolicy:
     """Lie at every stage."""
-    n = _check_horizon(horizon)
+    n = _positive_int("horizon", horizon)
     return OfflinePolicy((Decision.LIE,) * n)
 
 
 def true_policy(horizon: int) -> OfflinePolicy:
     """Tell the truth at every stage."""
-    n = _check_horizon(horizon)
+    n = _positive_int("horizon", horizon)
     return OfflinePolicy((Decision.TRUTH,) * n)
 
 
@@ -150,7 +150,7 @@ def random_policy(horizon: int, q: float, seed: int) -> OfflinePolicy:
     coin over raw predictions); for other q the two framings differ because
     decisions here are encoded relative to the outcome.
     """
-    n = _check_horizon(horizon)
+    n = _positive_int("horizon", horizon)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """CLI scenarios: config handling, CSV/SVG output, exit codes, verify suite."""
 
 import argparse
+import ast
 import csv
 import importlib
 import inspect
@@ -514,6 +515,19 @@ def test_benchmark_layer_metrics_name_public_functions():
         if (parts[1].startswith("_") or not inspect.isfunction(fn)
                 or fn.__module__ != module.__name__):
             missing.append(metric["name"])
+    assert not missing
+
+
+def test_package_names_are_in_their_modules_all():
+    """Every name ``mwadversary/__init__.py`` imports from one of its modules
+    is listed in that module's ``__all__``, so a stale name fails here."""
+    init = Path(mwadversary.__file__)
+    missing = []
+    for node in ast.walk(ast.parse(init.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"mwadversary.{node.module}")
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if a.name not in getattr(module, "__all__", ())]
     assert not missing
 
 

@@ -188,6 +188,14 @@ class TestWeightPower:
         assert w[3] == pytest.approx(0.5, abs=1e-14)
 
 
+class TestExpertState:
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf],
+                                         [0.0, 1.0], [-1.0, 1.0]])
+    def test_rejects_non_finite_or_nonpositive_weights(self, weights):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            ExpertState(np.array(weights))
+
+
 class TestSystemPrediction:
     def test_unanimous(self):
         assert system_prediction(ExpertState(np.array([1.0, 1.0])), [1, 1]) == 1.0

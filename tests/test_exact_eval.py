@@ -137,6 +137,11 @@ class TestOffsetDistribution:
         with pytest.raises(ValueError):
             OffsetDistribution(0, np.array(masses))
 
+    @pytest.mark.parametrize("support_min", [2.5, -2.5, np.nan, np.inf, -np.inf])
+    def test_non_integer_support_min_rejected(self, support_min):
+        with pytest.raises(ValueError, match="support_min must be an integer"):
+            OffsetDistribution(support_min, np.array([1.0]))
+
     def test_block_order_independence(self):
         """Permuting blocks that keep total lies/truths leaves the final
         offset law unchanged (the running losses do differ)."""
@@ -411,6 +416,11 @@ class TestRatioPolicyValues:
         with pytest.raises(ValueError):
             ratio_policy_values([5], params(horizon=4), 20)
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+    def test_rejects_non_integer_horizons(self, bad):
+        with pytest.raises(ValueError, match="horizons must be integers"):
+            ratio_policy_values([bad, 4], params(horizon=10), 20)
+
 
 class TestResiduals:
     def test_anchor_at_origin(self):
@@ -437,6 +447,12 @@ class TestResiduals:
             log_telescoping_residuals(-0.5, 1.0)
         with pytest.raises(ValueError):
             log_telescoping_residuals(1.0, 0.0)
+
+    @pytest.mark.parametrize("r,a", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (1.0, math.inf)])
+    def test_non_finite_inputs_rejected(self, r, a):
+        with pytest.raises(ValueError, match="must be finite"):
+            log_telescoping_residuals(r, a)
 
 
 class TestBerryEsseen:

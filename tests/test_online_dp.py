@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mwadversary import (
-    Decision,
     ExpertState,
     KExpertParams,
     ModelParams,
+    OnlinePolicy,
     clairvoyant_value,
     clairvoyant_values,
     exhaustive_offline_optimum,
@@ -51,13 +51,13 @@ class TestSolveTwoExpert:
     @pytest.mark.parametrize("mu,rho0", [(0.3, 0.5), (0.5, 0.5), (0.7, 0.2)])
     def test_single_stage(self, mu, rho0):
         table = solve_two_expert(params(mu=mu, horizon=1, rho0=rho0))
-        assert table.action(0, 0) is Decision.LIE
+        assert table.lie_optimal[0][0]
         assert table.root_value == pytest.approx(1 - mu + mu * rho0, abs=1e-12)
 
     def test_two_stage_anchor(self):
         table = solve_two_expert(params())
         assert table.root_value == pytest.approx(1.442236, abs=1e-6)
-        assert table.action(0, 0) is Decision.LIE
+        assert table.lie_optimal[0][0]
 
     def test_terminal_and_sign_structure(self):
         table = solve_two_expert(params(horizon=12))
@@ -81,19 +81,11 @@ class TestSolveTwoExpert:
         for k in range(p.horizon):
             for j in range(-k, k + 1):
                 rho = weight_power(j, p.rho0, p)
-                lie = 1 - mu + mu * rho + mu * table.value(k + 1, j + 1) + (1 - mu) * table.value(k + 1, j)
-                truth = (1 - mu) * (1 - rho) + (1 - mu) * table.value(k + 1, j - 1) + mu * table.value(k + 1, j)
-                assert table.value(k, j) == pytest.approx(max(lie, truth), abs=1e-12)
-                assert table.is_tie(k, j) == (abs(lie - truth) <= 1e-12 * max(1.0, abs(lie), abs(truth)))
-
-    def test_state_access_bounds(self):
-        table = solve_two_expert(params(horizon=3))
-        with pytest.raises(ValueError):
-            table.value(1, 2)
-        with pytest.raises(ValueError):
-            table.value(4, 0)
-        with pytest.raises(ValueError):
-            table.action(3, 0)  # no action at the terminal stage
+                v = table.values[k + 1]  # offset i of stage k + 1 at index i + k + 1
+                lie = 1 - mu + mu * rho + mu * v[j + k + 2] + (1 - mu) * v[j + k + 1]
+                truth = (1 - mu) * (1 - rho) + (1 - mu) * v[j + k] + mu * v[j + k + 1]
+                assert table.values[k][j + k] == pytest.approx(max(lie, truth), abs=1e-12)
+                assert table.tie_flags[k][j + k] == (abs(lie - truth) <= 1e-12 * max(1.0, abs(lie), abs(truth)))
 
     @pytest.mark.parametrize("n", [100, 200, 400])
     def test_state_count_probe(self, n):
@@ -151,6 +143,20 @@ class TestSimulateOnline:
         with pytest.raises(ValueError):
             simulate_online(params(horizon=6), table, trials=10, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, 2.5, math.nan, math.inf])
+    def test_rejects_non_integer_trials(self, trials):
+        p = params(horizon=5)
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            simulate_online(p, optimal_policy(p), trials=trials, seed=0)
+
+    def test_integral_float_trials(self):
+        """Trials follow the horizon rule: an integral float is its int."""
+        p = params(horizon=5)
+        a = simulate_online(p, optimal_policy(p), trials=5.0, seed=3)
+        b = simulate_online(p, optimal_policy(p), trials=5, seed=3)
+        assert a.trials == 5 and type(a.trials) is int
+        assert np.array_equal(a.per_trial, b.per_trial)
+
 
 def _row_major_simulation(p, table, trials, seed):
     """Reference play of a table: every trial's draws in one (trials, N)
@@ -178,7 +184,7 @@ class TestOptimalPolicy:
         the full table's bit for bit."""
         p = params(mu=mu, horizon=n, rho0=rho0)
         policy, table = optimal_policy(p), solve_two_expert(p)
-        assert policy.params == p
+        assert isinstance(table, OnlinePolicy) and policy.params == table.params == p
         assert policy.root_value == table.root_value
         assert len(policy.lie_optimal) == n
         for k in range(n):
@@ -409,6 +415,18 @@ class TestMonteCarloKExpert:
         a = monte_carlo_k_expert(kp, trials=50, seed=3)
         b = monte_carlo_k_expert(kp, trials=50, seed=3)
         assert a.mean == b.mean and a.stderr == b.stderr
+        assert np.array_equal(a.per_trial, b.per_trial)
+
+    @pytest.mark.parametrize("trials", [0, 2.5, math.nan, math.inf])
+    def test_rejects_non_integer_trials(self, trials):
+        kp = KExpertParams(epsilon=1 / E, horizon=4, accuracies=(0.5,), initial_weights=(1.0, 1.0))
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            monte_carlo_k_expert(kp, trials=trials, seed=3)
+
+    def test_integral_float_trials(self):
+        kp = KExpertParams(epsilon=1 / E, horizon=4, accuracies=(0.5,), initial_weights=(1.0, 1.0))
+        a, b = monte_carlo_k_expert(kp, trials=5.0, seed=3), monte_carlo_k_expert(kp, 5, 3)
+        assert a.trials == 5 and type(a.trials) is int
         assert np.array_equal(a.per_trial, b.per_trial)
 
     def test_clairvoyant_mean_dominates_online_in_two_expert_case(self):
