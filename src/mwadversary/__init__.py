@@ -52,7 +52,6 @@ from .online_dp import (
 )
 from .policies import (
     BlockForm,
-    Decision,
     OfflinePolicy,
     block_form,
     false_policy,

@@ -107,6 +107,7 @@ class ConfigError(ValueError):
 
 def parse_config_file(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -124,7 +125,9 @@ def parse_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = value.strip()
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}")
+        raw[key], set_on[key] = value.strip(), lineno
     return raw
 
 
@@ -240,8 +243,9 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
         raise ConfigError("N must list at least one horizon")
     if "policy" in _DEFAULTS[scenario] and not cfg.policies:
         raise ConfigError("policy must list at least one policy")
-    if len(set(cfg.horizons)) != len(cfg.horizons):
-        raise ConfigError(f"every horizon N must be distinct, got {cfg.horizons}")
+    for key, values in (("horizon N", cfg.horizons), ("policy", cfg.policies)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"every {key} must be distinct, got {values}")
     if cfg.trials < 0:
         raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
     if scenario == "multi-expert" and cfg.trials < 1:
@@ -272,7 +276,7 @@ def _build_policy(name: str, n: int, params: ModelParams, cfg: ExperimentConfig)
             return ratio_policy(params, max_denominator=cfg.max_denominator)
         if name == "random":
             return random_policy(n, cfg.q, cfg.seed)
-        pol = OfflinePolicy.from_text(name)
+        pol = OfflinePolicy(name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if pol.horizon != n:
@@ -321,7 +325,7 @@ def run_eval_offline(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
             params = _params(cfg, mu, rho0, n)
             for name, label in zip(names, labels):
                 pol = _build_policy(name, n, params, cfg)
-                rows.append([n, mu, rho0, cfg.epsilon, label, pol.to_text(), policy_value(pol, params)])
+                rows.append([n, mu, rho0, cfg.epsilon, label, pol.text, policy_value(pol, params)])
     # a group lists each N's rows policy by policy; a series per policy, named or F/T
     return header, rows, _group_charts(cfg, rows, "offline policy loss", lambda group: [
         (name, [r[0] for r in group[i::len(names)]], [r[6] for r in group[i::len(names)]])

@@ -41,6 +41,8 @@ class GuardError(RuntimeError):
 def _validate_loss(q: Callable[[float], float]) -> None:
     grid = np.linspace(0.0, 1.0, 33)
     vals = np.array([float(q(x)) for x in grid])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("loss function must be finite on [0, 1]")
     if vals[0] < -1e-12:
         raise ValueError("loss function must satisfy Q(0) >= 0")
     if np.any(np.diff(vals) < -1e-12):

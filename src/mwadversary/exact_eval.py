@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import BinomialDist, GuardError, ModelParams, _is_count, binomial, weight_power
-from .policies import BlockForm, Decision, OfflinePolicy, _ratio_pair, block_form
+from .policies import BlockForm, OfflinePolicy, _ratio_pair, block_form
 
 __all__ = [
     "OffsetDistribution",
@@ -252,7 +252,7 @@ def brute_force_value(policy: OfflinePolicy, params: ModelParams) -> float:
     if n > _BRUTE_FORCE_MAX_N:
         raise GuardError(f"brute force enumerates 2^N paths; N={n} exceeds {_BRUTE_FORCE_MAX_N}")
     mu, eps = params.mu, params.epsilon
-    lies = [d is Decision.LIE for d in policy.decisions]
+    lies = [c == "F" for c in policy.text]
     total = 0.0
     n_paths = 1 << n
     for lo in range(0, n_paths, _PATH_CHUNK):
@@ -325,7 +325,7 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
             search(prefix + "FT"[row], masses[row : row + 1], acc[row : row + 1])
 
     search("", np.ones((1, 1)), np.zeros(1))
-    return OfflinePolicy.from_text(best_text), best_value
+    return OfflinePolicy(best_text), best_value
 
 
 def log_telescoping_residuals(r: float, a: float) -> tuple[float, float, float, float]:

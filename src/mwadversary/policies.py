@@ -1,17 +1,17 @@
 """Offline adversary policies and their block representation.
 
-An offline policy commits, before play begins, to one decision per stage:
-LIE (predict the opposite of the true outcome) or TRUTH (match it).  Since
-the expected system loss depends only on the decisions relative to the
-outcomes, not on the outcome sequence itself, this relative encoding loses
-nothing.  Every policy also has an equivalent run-length encoding into
-alternating lie/truth blocks (n1, m1, ..., nk, mk), which the exact
-evaluators consume directly.
+An offline policy commits, before play begins, to one decision per stage,
+written as text over {F, T}: F lies (predicts the opposite of the true
+outcome), T tells the truth (matches it).  Since the expected system loss
+depends only on the decisions relative to the outcomes, not on the outcome
+sequence itself, this relative encoding loses nothing.  Every policy also
+has an equivalent run-length encoding into alternating lie/truth blocks
+(n1, m1, ..., nk, mk), which the exact evaluators consume directly.
 """
 
 from __future__ import annotations
 
-import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +20,6 @@ import numpy as np
 from .core import ModelParams, _is_count, _positive_int
 
 __all__ = [
-    "Decision",
     "OfflinePolicy",
     "BlockForm",
     "false_policy",
@@ -32,38 +31,20 @@ __all__ = [
 ]
 
 
-class Decision(enum.Enum):
-    LIE = "F"
-    TRUTH = "T"
-
-
 @dataclass(frozen=True)
 class OfflinePolicy:
-    """A committed lie/truth decision per stage."""
+    """A committed decision per stage: ``text`` has one character per stage,
+    F to lie and T to tell the truth."""
 
-    decisions: tuple[Decision, ...]
+    text: str
 
     def __post_init__(self) -> None:
-        if len(self.decisions) < 1:
-            raise ValueError("a policy needs at least one stage")
-        if not all(isinstance(d, Decision) for d in self.decisions):
-            raise ValueError("decisions must be Decision values")
-        object.__setattr__(self, "decisions", tuple(self.decisions))
+        if not (isinstance(self.text, str) and self.text and set(self.text) <= {"F", "T"}):
+            raise ValueError(f"policy text must be a nonempty string of 'F' and 'T': {self.text!r}")
 
     @property
     def horizon(self) -> int:
-        return len(self.decisions)
-
-    def to_text(self) -> str:
-        """Serialize as a string over {F, T}, F meaning LIE."""
-        return "".join(d.value for d in self.decisions)
-
-    @classmethod
-    def from_text(cls, text: str) -> "OfflinePolicy":
-        try:
-            return cls(tuple(Decision(c) for c in text))
-        except ValueError as exc:
-            raise ValueError(f"policy text must use only 'F' and 'T': {text!r}") from exc
+        return len(self.text)
 
 
 @dataclass(frozen=True)
@@ -101,13 +82,13 @@ class BlockForm:
 def false_policy(horizon: int) -> OfflinePolicy:
     """Lie at every stage."""
     n = _positive_int("horizon", horizon)
-    return OfflinePolicy((Decision.LIE,) * n)
+    return OfflinePolicy("F" * n)
 
 
 def true_policy(horizon: int) -> OfflinePolicy:
     """Tell the truth at every stage."""
     n = _positive_int("horizon", horizon)
-    return OfflinePolicy((Decision.TRUTH,) * n)
+    return OfflinePolicy("T" * n)
 
 
 def _ratio_pair(mu: float, max_denominator: int, horizon: int) -> tuple[int, int, int]:
@@ -142,8 +123,8 @@ def ratio_policy(params: ModelParams, max_denominator: int = 20) -> OfflinePolic
 
 
 def random_policy(horizon: int, q: float, seed: int) -> OfflinePolicy:
-    """I.i.d. decisions: TRUTH with probability q at each stage,
-    deterministically from ``seed``.
+    """I.i.d. decisions: each stage is T (truth) with probability q and F
+    (lie) otherwise, deterministically from ``seed``.
 
     With q = 1/2 this reproduces, in distribution, the optimal strategy of
     an adversary with no information about the outcome sequence (a uniform
@@ -154,34 +135,16 @@ def random_policy(horizon: int, q: float, seed: int) -> OfflinePolicy:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     rng = np.random.default_rng(seed)
-    truths = rng.random(n) < q
-    return OfflinePolicy(tuple(Decision.TRUTH if t else Decision.LIE for t in truths))
+    return OfflinePolicy("".join("T" if t else "F" for t in rng.random(n) < q))
 
 
 def block_form(policy: OfflinePolicy) -> BlockForm:
     """Run-length encode a policy into maximal alternating blocks."""
-    d = policy.decisions
-    n_stages = len(d)
-    blocks = []
-    i = 0
-    while i < n_stages:
-        n = 0
-        while i < n_stages and d[i] is Decision.LIE:
-            n += 1
-            i += 1
-        m = 0
-        while i < n_stages and d[i] is Decision.TRUTH:
-            m += 1
-            i += 1
-        blocks.append((n, m))
-    return BlockForm(tuple(blocks))
+    runs = re.findall("(F*)(T*)", policy.text)
+    return BlockForm(tuple((len(lies), len(truths)) for lies, truths in runs if lies or truths))
 
 
 def from_blocks(blocks: BlockForm) -> OfflinePolicy:
     """Expand a block form back into per-stage decisions (inverse of
     :func:`block_form`)."""
-    decisions: list[Decision] = []
-    for n, m in blocks:
-        decisions.extend([Decision.LIE] * n)
-        decisions.extend([Decision.TRUTH] * m)
-    return OfflinePolicy(tuple(decisions))
+    return OfflinePolicy("".join("F" * n + "T" * m for n, m in blocks))

@@ -70,7 +70,7 @@ def check_oracle_equivalence(evaluator: Callable | None = None) -> CheckResult:
     cases = []
     for code in range(1 << n):
         text = "".join("T" if (code >> k) & 1 else "F" for k in range(n))
-        pol = OfflinePolicy.from_text(text)
+        pol = OfflinePolicy(text)
         cases.append((deviation(pol, params), f"exhaustive N=8 policy {text}"))
     rng = np.random.default_rng(2024)
     for _ in range(50):
@@ -78,7 +78,7 @@ def check_oracle_equivalence(evaluator: Callable | None = None) -> CheckResult:
         mu = float(rng.choice([0.3, 0.5, 0.7]))
         params = ModelParams(epsilon=_EPS_DEFAULT, mu=mu, horizon=n)
         pol = random_policy(n, float(rng.random()), int(rng.integers(1 << 31)))
-        cases.append((deviation(pol, params), f"random N={n} mu={mu} policy {pol.to_text()}"))
+        cases.append((deviation(pol, params), f"random N={n} mu={mu} policy {pol.text}"))
     return _worst_case("oracle-equivalence", cases, 1e-9)
 
 

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,16 @@ class TestConfig:
         cfg.write_text("frobnicate = 1\n")
         with pytest.raises(ConfigError):
             parse_config_file(str(cfg))
+
+    def test_key_set_twice(self, tmp_path):
+        """Section headers are ignored, so a key set under two of them is
+        one key set twice: an error naming both lines, not the last value."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[compare]\nN = 4\nmu = 0.3\n[solve-online]\nN = 8\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:5: key 'N' is already set on line 2"):
+            parse_config_file(str(cfg))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_equals(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -199,12 +210,12 @@ class TestEvalOfflineScenario:
         p = ModelParams(epsilon=1 / E, mu=0.5, horizon=9)
         by_name = {row[4]: row for row in rows}
         assert float(by_name["false"][6]) == pytest.approx(
-            policy_value(OfflinePolicy.from_text("F" * 9), p), abs=1e-12
+            policy_value(OfflinePolicy("F" * 9), p), abs=1e-12
         )
         explicit = by_name["explicit"]
         assert explicit[5] == "FTFFTFFFT"
         assert float(explicit[6]) == pytest.approx(
-            value_block_policy(block_form(OfflinePolicy.from_text("FTFFTFFFT")), p), abs=1e-12
+            value_block_policy(block_form(OfflinePolicy("FTFFTFFFT")), p), abs=1e-12
         )
 
     def test_chart_has_one_series_per_explicit_policy(self, tmp_path):
@@ -427,6 +438,14 @@ class TestConfigRejections:
         assert capsys.readouterr().err.startswith("invalid config:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("policies", ["ratio,ratio", "FTFTF,true,FTFTF"])
+    def test_repeated_policy_is_a_config_error(self, tmp_path, capsys, policies):
+        out = tmp_path / "r.csv"
+        assert main(["eval-offline", "--N", "5", "--policy", policies, "--svg",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config: every policy must be distinct")
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_weights_are_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
         argv = ["multi-expert", "--N", "5", "--trials", "3", "--weights", "nan,1,1,1,1"]
@@ -458,6 +477,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("compare_long", ["compare", "--N", "1000,2000", "--mu", "0.3,0.5,0.7"]),
     ("eval_offline", ["eval-offline", "--N", "9", "--mu", "0.3,0.5",
                       "--policy", "false,true,ratio,random,FTFTFTFTF"]),
+    ("eval_offline_long", ["eval-offline", "--N", "500,2000", "--mu", "0.3,0.7",
+                           "--policy", "false,true,ratio,random"]),
     ("solve_online", ["solve-online", "--N", "10,20", "--mu", "0.3,0.7", "--trials", "50"]),
     ("multi_expert", ["multi-expert", "--N", "5,10", "--trials", "20", "--exact_dp_max_n", "8"]),
 ])
@@ -520,7 +541,9 @@ def test_benchmark_layer_metrics_name_public_functions():
 
 def test_package_names_are_in_their_modules_all():
     """Every name ``mwadversary/__init__.py`` imports from one of its modules
-    is listed in that module's ``__all__``, so a stale name fails here."""
+    is listed in that module's ``__all__``, and every ``__all__`` entry of
+    every module is defined there (``import *`` would fail on it), so a stale
+    name fails here."""
     init = Path(mwadversary.__file__)
     missing = []
     for node in ast.walk(ast.parse(init.read_text())):
@@ -528,6 +551,10 @@ def test_package_names_are_in_their_modules_all():
             module = importlib.import_module(f"mwadversary.{node.module}")
             missing += [f"{node.module}.{a.name}" for a in node.names
                         if a.name not in getattr(module, "__all__", ())]
+    for info in pkgutil.iter_modules(mwadversary.__path__):
+        module = importlib.import_module(f"mwadversary.{info.name}")
+        missing += [f"{info.name}.__all__: {name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
     assert not missing
 
 

@@ -60,6 +60,16 @@ class TestModelParams:
         with pytest.raises(ValueError):
             params(loss=lambda y: y - 0.5)
 
+    @pytest.mark.parametrize("loss", [
+        lambda y: math.nan,
+        lambda y: math.inf,
+        lambda y: y if y <= 0.5 else math.nan,
+        lambda y: y if y < 1.0 else math.inf,
+    ], ids=["nan", "inf", "nan-above-half", "inf-at-one"])
+    def test_rejects_non_finite_loss(self, loss):
+        with pytest.raises(ValueError, match="finite"):
+            params(loss=loss)
+
     def test_accepts_squared_loss(self):
         p = params(loss=lambda y: y * y)
         assert not p.is_absolute

@@ -36,7 +36,6 @@ from mwadversary import (
 from mwadversary.core import GuardError, binomial
 from mwadversary import exact_eval
 from mwadversary.exact_eval import _offset_losses, _run
-from mwadversary.policies import Decision
 
 E = math.e
 
@@ -55,10 +54,10 @@ def simulate_policy_expectation(policy, p):
         state = ExpertState(np.array([p.rho0, 1.0 - p.rho0]))
         loss = 0.0
         n_correct = 0
-        for k, d in enumerate(policy.decisions):
+        for k, d in enumerate(policy.text):
             correct = (code >> k) & 1
             n_correct += correct
-            x_adv = 1 if d is Decision.TRUTH else 0
+            x_adv = 1 if d == "T" else 0
             x_hon = 1 if correct else 0
             loss += p.q(abs(system_prediction(state, [x_adv, x_hon]) - 1))
             state = mw_step(state, [x_adv, x_hon], 1, p)
@@ -192,7 +191,7 @@ class TestValueBlockPolicy:
 
     def test_general_loss_against_brute_force(self):
         p = params(mu=0.6, horizon=6, loss=lambda y: y * y)
-        pol = OfflinePolicy.from_text("FTFFTF")
+        pol = OfflinePolicy("FTFFTF")
         assert policy_value(pol, p) == pytest.approx(brute_force_value(pol, p), abs=1e-9)
 
 
@@ -327,7 +326,7 @@ class TestExhaustiveOptimum:
         p = params(mu=0.62, horizon=6, rho0=0.4, loss=loss)
         _, val = exhaustive_offline_optimum(p)
         best = max(
-            brute_force_value(OfflinePolicy.from_text(format(c, "06b").replace("0", "F").replace("1", "T")), p)
+            brute_force_value(OfflinePolicy(format(c, "06b").replace("0", "F").replace("1", "T")), p)
             for c in range(64)
         )
         assert val == pytest.approx(best, abs=1e-9)
@@ -364,7 +363,7 @@ class TestExhaustiveOptimum:
         lies = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 0
         values = np.array([mixed_policy_values(row.astype(float), p)[-1] for row in lies])
         best = int(np.argmax(values))
-        assert pol.to_text() == lie_text(lies[best])
+        assert pol.text == lie_text(lies[best])
         assert val == pytest.approx(values[best], rel=1e-15)
 
     def test_tie_break_across_the_breadth_first_split(self):
@@ -514,7 +513,7 @@ class TestMixedPolicyValues:
             values = mixed_policy_values(lies.astype(float), params(mu, n, rho0, loss=loss))
             assert values[0] == 0.0
             for r in range(1, n + 1):
-                pol = OfflinePolicy.from_text(lie_text(lies[:r]))
+                pol = OfflinePolicy(lie_text(lies[:r]))
                 want = brute_force_value(pol, params(mu, r, rho0, loss=loss))
                 assert values[r] == pytest.approx(want, abs=1e-12)
 
@@ -532,7 +531,7 @@ class TestMixedPolicyValues:
                 weight = math.prod(lie_prob[k] if lie else 1.0 - lie_prob[k]
                                    for k, lie in enumerate(lies))
                 if weight:
-                    want += weight * brute_force_value(OfflinePolicy.from_text(lie_text(lies)), p)
+                    want += weight * brute_force_value(OfflinePolicy(lie_text(lies)), p)
             assert values[r] == pytest.approx(want, abs=1e-12)
 
     def test_scalar_probability_applies_to_every_stage(self):

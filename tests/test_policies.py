@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mwadversary import (
     BlockForm,
-    Decision,
     ModelParams,
     OfflinePolicy,
     block_form,
@@ -20,22 +19,20 @@ from mwadversary import (
 )
 from mwadversary.policies import _ratio_pair
 
-F, T = Decision.LIE, Decision.TRUTH
-
 
 def params(mu, horizon):
     return ModelParams(epsilon=math.exp(-1), mu=mu, horizon=horizon)
 
 
 def test_false_policy():
-    assert false_policy(1).decisions == (F,)
-    assert false_policy(4).decisions == (F, F, F, F)
+    assert false_policy(1).text == "F"
+    assert false_policy(4).text == "FFFF"
     assert block_form(false_policy(4)).blocks == ((4, 0),)
 
 
 def test_true_policy():
-    assert true_policy(1).decisions == (T,)
-    assert true_policy(3).decisions == (T, T, T)
+    assert true_policy(1).text == "T"
+    assert true_policy(3).text == "TTT"
     assert block_form(true_policy(3)).blocks == ((0, 3),)
 
 
@@ -49,7 +46,7 @@ class TestRatioPolicy:
     def test_balanced_accuracy(self):
         pol = ratio_policy(params(0.5, 8))
         assert block_form(pol).blocks == ((1, 1), (1, 1), (4, 0))
-        assert pol.to_text() == "FTFTFFFF"
+        assert pol.text == "FTFTFFFF"
 
     def test_two_to_one_accuracy(self):
         pol = ratio_policy(params(2 / 3, 12))
@@ -57,7 +54,7 @@ class TestRatioPolicy:
 
     def test_degenerate_horizon_falls_back(self):
         pol = ratio_policy(params(0.5, 2))
-        assert pol.decisions == false_policy(2).decisions
+        assert pol.text == false_policy(2).text
 
     def test_too_small_horizon_raises(self):
         with pytest.raises(ValueError):
@@ -76,7 +73,7 @@ class TestRatioPolicy:
         # terminal lie block covers at least half the horizon
         assert blocks[-1][1] == 0
         assert blocks[-1][0] >= math.ceil(n / 2)
-        lies = pol.to_text().count("F")
+        lies = pol.text.count("F")
         assert lies >= n - lies
 
     def test_balanced_prefix_alternates(self):
@@ -94,13 +91,13 @@ class TestRatioPolicy:
 
 class TestRandomPolicy:
     def test_extremes(self):
-        assert random_policy(7, 0.0, 42).decisions == false_policy(7).decisions
-        assert random_policy(7, 1.0, 42).decisions == true_policy(7).decisions
+        assert random_policy(7, 0.0, 42).text == false_policy(7).text
+        assert random_policy(7, 1.0, 42).text == true_policy(7).text
 
     @pytest.mark.parametrize("seed", [0, 1, 99])
     def test_lie_fraction_concentrates(self, seed):
         pol = random_policy(10_000, 0.5, seed)
-        assert 0.47 <= pol.to_text().count("F") / 10_000 <= 0.53
+        assert 0.47 <= pol.text.count("F") / 10_000 <= 0.53
 
     def test_deterministic_given_seed(self):
         assert random_policy(50, 0.3, 7) == random_policy(50, 0.3, 7)
@@ -113,8 +110,8 @@ class TestRandomPolicy:
 
 class TestBlockForm:
     def test_examples(self):
-        assert block_form(OfflinePolicy((F, F, T))).blocks == ((2, 1),)
-        assert block_form(OfflinePolicy((T, F))).blocks == ((0, 1), (1, 0))
+        assert block_form(OfflinePolicy("FFT")).blocks == ((2, 1),)
+        assert block_form(OfflinePolicy("TF")).blocks == ((0, 1), (1, 0))
 
     def test_interior_zeros_rejected(self):
         with pytest.raises(ValueError):
@@ -141,23 +138,23 @@ class TestBlockForm:
         rng = np.random.default_rng(2024)
         for _ in range(100):
             pol = random_policy(20, float(rng.random()), int(rng.integers(1 << 31)))
-            assert from_blocks(block_form(pol)).decisions == pol.decisions
+            assert from_blocks(block_form(pol)).text == pol.text
 
     @settings(max_examples=200, deadline=None)
     @given(bits=st.lists(st.booleans(), min_size=1, max_size=40))
     def test_round_trip_property(self, bits):
-        pol = OfflinePolicy(tuple(T if b else F for b in bits))
+        pol = OfflinePolicy("".join("T" if b else "F" for b in bits))
         blocks = block_form(pol)
-        assert from_blocks(blocks).decisions == pol.decisions
+        assert from_blocks(blocks).text == pol.text
         assert blocks.horizon == pol.horizon
 
 
 class TestTextSerialization:
     def test_round_trip(self):
-        pol = OfflinePolicy((F, T, F, F))
-        assert pol.to_text() == "FTFF"
-        assert OfflinePolicy.from_text("FTFF") == pol
+        pol = OfflinePolicy("FTFF")
+        assert pol.text == "FTFF"
+        assert OfflinePolicy("FTFF") == pol
 
     def test_rejects_unknown_characters(self):
         with pytest.raises(ValueError):
-            OfflinePolicy.from_text("FTX")
+            OfflinePolicy("FTX")
