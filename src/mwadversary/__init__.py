@@ -23,6 +23,7 @@ from .exact_eval import (
     log_telescoping_residuals,
     mixed_policy_values,
     normal_cdf,
+    offline_optimum,
     offset_distribution,
     policy_value,
     ratio_policy_values,

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .core import GuardError, ModelParams
 from .exact_eval import (
-    exhaustive_offline_optimum,
+    offline_optimum,
     policy_value,
     ratio_policy_values,
     two_honest_values,
@@ -118,7 +118,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         if not text or text.startswith("#") or text.startswith(";"):
             continue
         if text.startswith("[") and text.endswith("]"):
-            continue  # tolerate section headers
+            raise ConfigError(f"{path}:{lineno}: section header {text!r} in a flat key = value file")
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {text!r}")
         key, _, value = text.partition("=")
@@ -188,7 +188,7 @@ class ExperimentConfig:
     accuracies: list[float] = _key("accuracies", _floats, "honest accuracies for multi-expert")
     weights: list[float] = _key("weights", _floats, "initial weights (adversary first)")
     offline_opt_max_n: int = _key("offline_opt_max_n", _one(_ints),
-                                  "largest N for the exhaustive column", int)
+                                  "largest N for the offline-optimum column", int)
     exact_dp_max_n: int = _key("exact_dp_max_n", _one(_ints),
                                "largest N for the exact K-expert column", int)
     max_denominator: int = _key("max_denominator", _one(_ints),
@@ -367,12 +367,8 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
             params = _params(cfg, mu, rho0, n)
             v_f = value_false(n, rho0, params)
             v_t = value_true(n, rho0, params)
-            v_ratio, v_opt = ratio.get(n), None
-            if n <= cfg.offline_opt_max_n:
-                try:
-                    _, v_opt = exhaustive_offline_optimum(params)
-                except GuardError as exc:
-                    print(f"N={n}: offline optimum skipped ({exc})", file=sys.stderr)
+            v_ratio = ratio.get(n)
+            v_opt = offline_optimum(params)[1] if n <= cfg.offline_opt_max_n else None
             v_on = float(online[n])
             lower = max(v for v in (v_f, v_ratio, v_opt) if v is not None)
             if v_on < lower - 1e-9:

@@ -6,10 +6,12 @@ at a time, each run reading a binomial tail sum and a convolution of the
 integer-offset distribution off one binomial law; policies that lie at each
 stage with a fixed probability (the no-adversary and no-information
 baselines among them) by pushing that distribution one stage at a time,
-which gives every prefix horizon in the same pass, and two brute-force
-enumerators (over honest sample paths, and over entire policy trees) serve
-as independent oracles.  The module also provides numeric verifiers for the
-two analytic inequalities the normal-CDF approximation analysis rests on.
+which gives every prefix horizon in the same pass.  The optimal offline
+policy is a longest path over (stage, lies so far).  Two brute-force
+enumerators serve as independent oracles: over honest sample paths for the
+evaluators, and over entire policy trees for the optimum.  The module also
+provides numeric verifiers for the two analytic inequalities the normal-CDF
+approximation analysis rests on.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "ratio_policy_values",
     "brute_force_value",
     "exhaustive_offline_optimum",
+    "offline_optimum",
     "log_telescoping_residuals",
     "berry_esseen_check",
     "mixed_policy_values",
@@ -42,8 +45,7 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_N = 22
-_EXHAUSTIVE_MAX_N = 26
-_BREADTH_LEVELS = 10  # last stages the exhaustive search expands as one array
+_EXHAUSTIVE_MAX_N = 16
 _PATH_CHUNK = 1 << 20
 
 
@@ -278,15 +280,37 @@ def brute_force_value(policy: OfflinePolicy, params: ModelParams) -> float:
     return total
 
 
-def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, float]:
-    """Best offline policy and its value over all 2^N decision sequences.
+def offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, float]:
+    """Best offline policy and its value, as a longest path over (stage k,
+    lies so far a).  The offset is then a - M_k with M_k ~ Bin(k, 1 - mu)
+    whatever the order of the lies, so stage k's expected cost depends on
+    (k, a) and the action only: that binomial's pmf convolved with a window
+    of :func:`_stage_costs`.  Ties lie, so the text read off from a = 0 is
+    the earliest-lie optimum, as in :func:`exhaustive_offline_optimum`."""
+    n = params.horizon
+    lie_costs, truth_costs = _stage_costs(params)
+    value, lies = np.zeros(n + 1), []
+    for k in range(n - 1, -1, -1):
+        pmf, window = binomial(k, 1.0 - params.mu).pmf, slice(n - k, n + k + 1)
+        lie = np.convolve(lie_costs[window], pmf, "valid") + value[1 : k + 2]
+        truth = np.convolve(truth_costs[window], pmf, "valid") + value[: k + 1]
+        lies.append(lie >= truth)
+        value = np.maximum(lie, truth)
+    text, a = "", 0
+    for row in reversed(lies):
+        text += "F" if row[a] else "T"
+        a += int(row[a])
+    return OfflinePolicy(text), float(value[0])
 
-    Depth-first search over the first N - L stages of the policy tree,
-    carrying the offset distribution and the accumulated expected loss; the
-    last L = min(N, 10) stages below each node expand as one mass array, a
-    row per suffix over the stage's offsets.  Ties prefer the policy that
-    lies at the earliest differing stage: rows are in lie-first order and the
-    first maximum wins.
+
+def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, float]:
+    """Best offline policy and its value over all 2^N decision sequences:
+    the independent oracle of :func:`offline_optimum`.
+
+    One mass array holds a row per decision prefix over the stage's
+    offsets, and each stage adds the expected loss of every row's lie and
+    truth child.  Row bits are the F/T text (0 lies), so the first maximum
+    is the optimum that lies at the earliest differing stage.
     """
     n = params.horizon
     if n > _EXHAUSTIVE_MAX_N:
@@ -295,37 +319,14 @@ def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, floa
         )
     mu = params.mu
     stage_costs = np.column_stack(_stage_costs(params))  # lie, truth at each offset
-    levels = min(n, _BREADTH_LEVELS)
-
-    def costs(masses: np.ndarray, acc: np.ndarray) -> np.ndarray:
-        # accumulated loss of each row's lie child, then of its truth child
-        k = masses.shape[1] // 2  # rows span offsets -k..k
-        return (acc[:, None] + masses @ stage_costs[n - k : n + k + 1]).ravel()
-
-    def children(masses: np.ndarray) -> np.ndarray:
-        # row 2i is row i's lie child, row 2i+1 its truth child
-        pair = [_forward_step(masses, 1.0, mu), _forward_step(masses, 0.0, mu)]
-        return np.stack(pair, axis=1).reshape(-1, masses.shape[1] + 2)
-
-    best_value, best_text = -math.inf, ""
-
-    def search(prefix: str, masses: np.ndarray, acc: np.ndarray) -> None:
-        nonlocal best_value, best_text
-        if len(prefix) == n - levels:
-            for _ in range(levels - 1):
-                acc, masses = costs(masses, acc), children(masses)
-            values = costs(masses, acc)
-            row = int(np.argmax(values))
-            if values[row] > best_value:
-                best_value = float(values[row])
-                best_text = prefix + format(row, f"0{levels}b").replace("0", "F").replace("1", "T")
-            return
-        acc, masses = costs(masses, acc), children(masses)
-        for row in (0, 1):
-            search(prefix + "FT"[row], masses[row : row + 1], acc[row : row + 1])
-
-    search("", np.ones((1, 1)), np.zeros(1))
-    return OfflinePolicy(best_text), best_value
+    masses, acc = np.ones((1, 1)), np.zeros(1)
+    for k in range(n):
+        if k:  # row 2i is row i's lie child, row 2i+1 its truth child
+            pair = [_forward_step(masses, 1.0, mu), _forward_step(masses, 0.0, mu)]
+            masses = np.stack(pair, axis=1).reshape(acc.size, 2 * k + 1)
+        acc = (acc[:, None] + masses @ stage_costs[n - k : n + k + 1]).ravel()
+    row = int(np.argmax(acc))
+    return OfflinePolicy(format(row, f"0{n}b").replace("0", "F").replace("1", "T")), float(acc[row])
 
 
 def log_telescoping_residuals(r: float, a: float) -> tuple[float, float, float, float]:

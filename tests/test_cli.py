@@ -45,7 +45,7 @@ def read_csv(path):
 class TestConfig:
     def test_file_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\n[sweep]\nN = 4,6\nmu = 0.4\nseed = 9\n")
+        cfg.write_text("# comment\nN = 4,6\nmu = 0.4\nseed = 9\n")
         values = parse_config_file(str(cfg))
         assert values == {"N": "4,6", "mu": "0.4", "seed": "9"}
 
@@ -56,14 +56,24 @@ class TestConfig:
             parse_config_file(str(cfg))
 
     def test_key_set_twice(self, tmp_path):
-        """Section headers are ignored, so a key set under two of them is
-        one key set twice: an error naming both lines, not the last value."""
+        """A key set twice is an error naming both lines, not the last value."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[compare]\nN = 4\nmu = 0.3\n[solve-online]\nN = 8\n")
-        with pytest.raises(ConfigError, match=r"run\.cfg:5: key 'N' is already set on line 2"):
+        cfg.write_text("N = 4\nmu = 0.3\n\nN = 8\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'N' is already set on line 1"):
             parse_config_file(str(cfg))
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+    def test_section_header_is_a_config_error(self, tmp_path, capsys):
+        """The file is flat: a header would suggest its keys apply to one
+        scenario only, while every scenario would read them."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[solve-online]\nN = 8\ntrials = 5\n")
+        out = tmp_path / "x.csv"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid config: {cfg}:1: section header '[solve-online]' in a flat key = value file\n")
+        assert not out.exists()
 
     def test_missing_equals(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -131,6 +141,15 @@ class TestCompareScenario:
         _, _, rows = read_csv(str(out))
         assert rows[0][7] != ""
         assert rows[1][7] == ""
+
+    def test_offline_column_beyond_the_exhaustive_search(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--N", "30,40", "--offline_opt_max_n", "40", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(str(out))
+        for row in rows:
+            v_false, v_ratio, v_opt, v_online = (float(row[i]) for i in (4, 6, 7, 8))
+            assert max(v_false, v_ratio) <= v_opt <= v_online
 
     def test_svg_emitted(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -504,7 +523,7 @@ _FLAGS = [
     ("--q", "truth probability for the random policy"),
     ("--accuracies", "honest accuracies for multi-expert"),
     ("--weights", "initial weights (adversary first)"),
-    ("--offline_opt_max_n", "largest N for the exhaustive column"),
+    ("--offline_opt_max_n", "largest N for the offline-optimum column"),
     ("--exact_dp_max_n", "largest N for the exact K-expert column"),
     ("--max_denominator", "rational-approximation bound for ratio policy"),
 ]

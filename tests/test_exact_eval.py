@@ -1,6 +1,8 @@
 """Exact evaluators against brute-force oracles and hand-derived anchors."""
 
+import functools
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from mwadversary import (
     mixed_policy_values,
     mw_step,
     normal_cdf,
+    offline_optimum,
     offset_distribution,
     policy_value,
     random_policy,
@@ -308,72 +311,105 @@ class TestBruteForce:
             )
 
 
+@functools.cache
+def enumerated_optimum(p):
+    """Text and value of the earliest-lie optimum, apart from both searches:
+    one forward pass scores each of the 2^N policies as a 0/1 lie vector."""
+    n = p.horizon
+    codes = np.arange(1 << n)
+    lies = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 0
+    values = np.array([mixed_policy_values(row.astype(float), p)[-1] for row in lies])
+    best = int(np.argmax(values))
+    return lie_text(lies[best]), values[best]
+
+
+@pytest.fixture(params=[exhaustive_offline_optimum, offline_optimum], ids=["exhaustive", "lattice"])
+def optimum(request):
+    """The offline optimum by policy-tree enumeration and by the longest
+    path over (stage, lies so far); each test below holds both."""
+    return request.param
+
+
 class TestExhaustiveOptimum:
     @pytest.mark.parametrize("mu,rho0", [(0.3, 0.5), (0.5, 0.5), (0.6, 0.25)])
-    def test_single_stage(self, mu, rho0):
-        pol, val = exhaustive_offline_optimum(params(mu=mu, horizon=1, rho0=rho0))
+    def test_single_stage(self, optimum, mu, rho0):
+        pol, val = optimum(params(mu=mu, horizon=1, rho0=rho0))
         assert pol == false_policy(1)
         assert val == pytest.approx(1 - mu + mu * rho0, abs=1e-12)
 
-    def test_two_stages_all_lie(self):
-        pol, val = exhaustive_offline_optimum(params())
+    def test_two_stages_all_lie(self, optimum):
+        pol, val = optimum(params())
         assert pol == false_policy(2)
         assert val == pytest.approx(1.442235, abs=1e-6)
 
     @pytest.mark.parametrize("loss", [None, lambda y: y * y, math.sqrt],
                              ids=["absolute", "squared", "sqrt"])
-    def test_matches_full_enumeration(self, loss):
+    def test_matches_full_enumeration(self, optimum, loss):
         p = params(mu=0.62, horizon=6, rho0=0.4, loss=loss)
-        _, val = exhaustive_offline_optimum(p)
+        _, val = optimum(p)
         best = max(
             brute_force_value(OfflinePolicy(format(c, "06b").replace("0", "F").replace("1", "T")), p)
             for c in range(64)
         )
         assert val == pytest.approx(best, abs=1e-9)
 
-    def test_argmax_value_consistent(self):
+    def test_argmax_value_consistent(self, optimum):
         p = params(mu=0.45, horizon=8)
-        pol, val = exhaustive_offline_optimum(p)
+        pol, val = optimum(p)
         assert policy_value(pol, p) == pytest.approx(val, abs=1e-9)
 
     @pytest.mark.parametrize("n", [4, 7, 10])
-    def test_dominates_named_policies(self, n):
+    def test_dominates_named_policies(self, optimum, n):
         p = params(horizon=n)
-        _, val = exhaustive_offline_optimum(p)
+        _, val = optimum(p)
         for pol in (false_policy(n), true_policy(n), ratio_policy(p)):
             assert val >= policy_value(pol, p) - 1e-9
 
-    def test_tie_break_prefers_early_lie(self):
+    def test_tie_break_prefers_early_lie(self, optimum):
         # a constant loss makes every policy optimal; the reported argmax
         # must be the lexicographically earliest all-lie sequence
         p = params(mu=0.5, horizon=5, loss=lambda y: 1.0)
-        pol, val = exhaustive_offline_optimum(p)
+        pol, val = optimum(p)
         assert pol == false_policy(5)
         assert val == pytest.approx(5.0, abs=1e-12)
 
     @pytest.mark.parametrize("loss", [None, lambda y: y * y, math.sqrt],
                              ids=["absolute", "squared", "sqrt"])
-    def test_matches_full_enumeration_across_the_breadth_first_split(self, loss):
-        # N = 12 walks two stages depth-first above the breadth-first levels;
-        # the enumeration scores all 4096 policies with 0/1 lie vectors
-        n = 12
-        p = params(mu=0.62, horizon=n, rho0=0.4, loss=loss)
-        pol, val = exhaustive_offline_optimum(p)
-        codes = np.arange(1 << n)
-        lies = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 0
-        values = np.array([mixed_policy_values(row.astype(float), p)[-1] for row in lies])
-        best = int(np.argmax(values))
-        assert pol.text == lie_text(lies[best])
-        assert val == pytest.approx(values[best], rel=1e-15)
+    def test_matches_full_enumeration_at_twelve_stages(self, optimum, loss):
+        p = params(mu=0.62, horizon=12, rho0=0.4, loss=loss)
+        pol, val = optimum(p)
+        text, best = enumerated_optimum(p)
+        assert pol.text == text
+        assert val == pytest.approx(best, rel=1e-15)
 
-    def test_tie_break_across_the_breadth_first_split(self):
+    def test_tie_break_at_thirteen_stages(self, optimum):
+        # 8192 equal policies: the earliest lie wins at every stage
         p = params(mu=0.5, horizon=13, loss=lambda y: 1.0)
-        pol, _ = exhaustive_offline_optimum(p)
+        pol, _ = optimum(p)
         assert pol == false_policy(13)
 
     def test_guard(self):
         with pytest.raises(GuardError):
             exhaustive_offline_optimum(params(horizon=27))
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.5, 0.62, 0.7])
+def test_lattice_matches_exhaustive_search_up_to_its_cap(mu):
+    """Values agree with the enumeration for every N <= 16; texts may differ
+    where two policies tie to rounding, so each text is held to its own
+    value instead."""
+    for rho0, eps, n in product((0.2, 0.5, 0.9), (1 / E, 0.6), range(1, 17)):
+        p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps)
+        pol, val = offline_optimum(p)
+        assert val == pytest.approx(exhaustive_offline_optimum(p)[1], rel=1e-14, abs=0.0)
+        assert policy_value(pol, p) == pytest.approx(val, rel=1e-12, abs=0.0)
+
+
+def test_lattice_policy_value_at_a_long_horizon():
+    p = params(mu=0.5, horizon=2000)
+    pol, val = offline_optimum(p)
+    assert policy_value(pol, p) == pytest.approx(val, rel=1e-12, abs=0.0)
+    assert val >= value_false(2000, 0.5, p)
 
 
 class TestRatioPolicyValues:
