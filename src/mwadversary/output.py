@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,12 +23,13 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 
 
 def fmt(value) -> str:
-    """Cell formatter: floats at 15 significant digits, None as blank.
+    """Cell formatter: floats at 15 significant digits, None and NaN (an
+    undefined estimate, such as the stderr of one trial) as blank.
 
     Fifteen is DBL_DIG: the most digits at which every decimal input prints
     back as given, so ``0.49999999999999994`` is written as ``0.5``.
     """
-    if value is None:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"

@@ -268,7 +268,22 @@ class TestSolveOnlineScenario:
         assert abs(float(row[5]) - float(row[4])) <= 5 * float(row[6])
 
 
+    def test_one_trial_leaves_stderr_blank(self, tmp_path):
+        out = tmp_path / "so.csv"
+        assert main(["solve-online", "--N", "5", "--trials", "1", "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert rows[0][header.index("sim_mean")] != ""
+        assert rows[0][header.index("sim_stderr")] == ""
+
+
 class TestMultiExpertScenario:
+    def test_one_trial_leaves_stderr_blank(self, tmp_path):
+        out = tmp_path / "me.csv"
+        assert main(["multi-expert", "--N", "5", "--trials", "1", "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert rows[0][header.index("v_k_clairvoyant")] != ""
+        assert rows[0][header.index("v_k_clairvoyant_stderr")] == ""
+
     def test_columns_and_budget(self, tmp_path):
         out = tmp_path / "me.csv"
         rc = main(["multi-expert", "--N", "5,20", "--trials", "40", "--seed", "8",
@@ -368,6 +383,10 @@ def test_fmt_keeps_library_precision():
 
 def test_fmt_writes_numpy_bools_as_csv_bools():
     assert (fmt(np.True_), fmt(np.False_)) == ("true", "false")
+
+
+def test_fmt_writes_nan_as_blank():
+    assert fmt(math.nan) == fmt(np.float64("nan")) == fmt(None) == ""
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -28,7 +28,8 @@ from mwadversary import (
     weight_power,
 )
 from mwadversary.core import GuardError
-from mwadversary.online_dp import _philox
+from mwadversary.exact_eval import _stage_costs
+from mwadversary.online_dp import _STAGE_BLOCK, _philox
 from mwadversary.verify import expectimax_value
 
 E = math.e
@@ -87,6 +88,24 @@ class TestSolveTwoExpert:
                 assert table.values[k][j + k] == pytest.approx(max(lie, truth), abs=1e-12)
                 assert table.tie_flags[k][j + k] == (abs(lie - truth) <= 1e-12 * max(1.0, abs(lie), abs(truth)))
 
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_stages_own_their_values(self, n):
+        """The backward pass reuses its buffers, so the table keeps copies: no
+        two stages share memory, and every stage is still the Bellman step
+        (costs, then the moved offset, then the kept one) from the next."""
+        p = params(mu=0.3, horizon=n, rho0=0.2)
+        table = solve_two_expert(p)
+        lie_costs, truth_costs = _stage_costs(p)
+        mu = p.mu
+        for k in range(n):
+            assert not any(np.shares_memory(table.values[k], table.values[i])
+                           for i in range(k + 1, n + 1))
+            v, window = table.values[k + 1], slice(n - k, n + k + 1)
+            lie = lie_costs[window] + mu * v[2:] + (1.0 - mu) * v[1:-1]
+            truth = truth_costs[window] + (1.0 - mu) * v[:-2] + mu * v[1:-1]
+            assert np.array_equal(table.values[k], np.maximum(lie, truth))
+            assert np.array_equal(table.lie_optimal[k], lie >= truth)
+
     @pytest.mark.parametrize("n", [100, 200, 400])
     def test_state_count_probe(self, n):
         """Exactly 2k+1 offsets are touched at stage k, so total work is
@@ -137,6 +156,11 @@ class TestSimulateOnline:
         table = solve_two_expert(p)
         res = simulate_online(p, table, trials=100_000, seed=7)
         assert abs(res.mean - table.root_value) <= 4 * res.stderr
+
+    def test_one_trial_leaves_stderr_undefined(self):
+        p = params(horizon=5)
+        res = simulate_online(p, optimal_policy(p), trials=1, seed=3)
+        assert res.mean == res.per_trial[0] and math.isnan(res.stderr)
 
     def test_mismatched_params(self):
         table = solve_two_expert(params(horizon=5))
@@ -199,18 +223,21 @@ class TestOptimalPolicy:
         pytest.param(0.7, 0.2, LOSSES["squared"], id="0.7-0.2-squared"),
         pytest.param(0.5, 0.3, math.sqrt, id="0.5-0.3-math.sqrt"),  # scalar-only loss
     ])
-    @pytest.mark.parametrize("n", [1, 7, 60])
+    @pytest.mark.parametrize("n", [1, 7, 60, _STAGE_BLOCK - 1, _STAGE_BLOCK, _STAGE_BLOCK + 1,
+                                   2 * _STAGE_BLOCK + 1])
     @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
     def test_simulation_bit_identical(self, mu, rho0, loss, n, trials):
         """Lean record and table play the same per-trial losses, equal to a
-        row-major play of the whole draw block at once."""
+        row-major play of the whole draw block at once, on both sides of
+        every edge of the blocks of draws (trials) and of loss gathers
+        (stages)."""
         p = params(mu=mu, horizon=n, rho0=rho0, loss=loss)
         table = solve_two_expert(p)
         lean = simulate_online(p, optimal_policy(p), trials, seed=1729)
         full = simulate_online(p, table, trials, seed=1729)
         assert np.array_equal(lean.per_trial, full.per_trial)
         assert np.array_equal(lean.per_trial, _row_major_simulation(p, table, trials, 1729))
-        assert (lean.mean, lean.stderr) == (full.mean, full.stderr)
+        np.testing.assert_equal((lean.mean, lean.stderr), (full.mean, full.stderr))  # NaN == NaN
 
     @pytest.mark.parametrize("n", [1, 7, 60, 301, 1000])
     def test_actions_are_packed_bits(self, n):
@@ -422,6 +449,11 @@ class TestMonteCarloKExpert:
         kp = KExpertParams(epsilon=1 / E, horizon=4, accuracies=(0.5,), initial_weights=(1.0, 1.0))
         with pytest.raises(ValueError, match="trials must be a positive integer"):
             monte_carlo_k_expert(kp, trials=trials, seed=3)
+
+    def test_one_trial_leaves_stderr_undefined(self):
+        kp = KExpertParams(epsilon=1 / E, horizon=4, accuracies=(0.5,), initial_weights=(1.0, 1.0))
+        res = monte_carlo_k_expert(kp, trials=1, seed=3)
+        assert res.mean == res.per_trial[0] and math.isnan(res.stderr)
 
     def test_integral_float_trials(self):
         kp = KExpertParams(epsilon=1 / E, horizon=4, accuracies=(0.5,), initial_weights=(1.0, 1.0))
