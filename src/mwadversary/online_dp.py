@@ -10,11 +10,10 @@ the optimum of every horizon 0..N off offset 0 as it goes; a played policy
 keeps one bit (its action) per state; the full table, an ``OnlinePolicy``
 that also keeps values and ties, stays as ``BENCHMARK.json`` names
 ``solve_two_expert``.  The passes' oracle is ``verify.expectimax_value``.
-Both hot loops are written to cost few numpy calls per stage: the backward
-pass writes every stage into buffers allocated once, and the Monte Carlo
-replay of a policy moves every trial stage by stage but gathers and adds
-its losses once per block of stages, in stage order, so each trial's loss
-is the same sum as a stage-by-stage play.
+Both hot loops cost a few whole-stage numpy calls per stage: the backward
+pass takes one ``mu * v`` product and two sums per action, and the Monte
+Carlo replay of a policy moves every trial one stage and adds that stage's
+loss, so each trial sums its losses in stage order.
 Also here: the exact K-expert model on a mistake-count grid (one two-point
 average per honest expert, along its axis), a clairvoyant solver that takes
 a block of realizations in one pass with its Monte Carlo harness, and the
@@ -53,7 +52,6 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 _TRIAL_CHUNK = 250  # trials per block of draws in simulate_online and monte_carlo_k_expert
-_STAGE_BLOCK = 16  # stages per loss gather in simulate_online (64 ran no faster, +0.5 MB RSS)
 _K_EXPERT_MAX_K = 5
 _K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
@@ -65,25 +63,19 @@ def _backward(params: ModelParams) -> Iterator[tuple[int, np.ndarray, np.ndarray
     continuation loss of lying and of telling the truth.  A lie moves the
     offset +1 with probability mu, a truth -1 with probability 1 - mu; the
     loss Q enters only through the stage costs, never the transitions.
-
-    The stages share buffers allocated once: a yielded array is valid only
-    until the next step, so a caller that keeps it must copy it.
+    Every yielded array is new, so a caller may keep it.
     """
     n = params.horizon
     mu = params.mu
     lie_costs, truth_costs = _stage_costs(params)
-    v, up, down, lie, truth = np.zeros((5, 2 * n + 1))
+    v = np.zeros(2 * n + 1)
     for k in range(n - 1, -1, -1):
-        size = 2 * k + 1
         window = slice(n - k, n + k + 1)
-        np.multiply(mu, v[: size + 2], out=up[: size + 2])
-        np.multiply(1.0 - mu, v[: size + 2], out=down[: size + 2])
-        np.add(lie_costs[window], up[2 : size + 2], out=lie[:size])
-        np.add(lie[:size], down[1 : size + 1], out=lie[:size])
-        np.add(truth_costs[window], down[:size], out=truth[:size])
-        np.add(truth[:size], up[1 : size + 1], out=truth[:size])
-        np.maximum(lie[:size], truth[:size], out=v[:size])
-        yield k, v[:size], lie[:size], truth[:size]
+        up, down = mu * v, (1.0 - mu) * v
+        lie = (lie_costs[window] + up[2:]) + down[1:-1]
+        truth = (truth_costs[window] + down[:-2]) + up[1:-1]
+        v = np.maximum(lie, truth)
+        yield k, v, lie, truth
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +128,9 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
     tie_flags: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
     states = 0
     for k, v, lie, truth in _backward(params):
-        values[k] = v.copy()
+        values[k] = v
+        lie_optimal[k] = lie >= truth
         diff = lie - truth
-        lie_optimal[k] = diff >= 0.0
         scale = np.maximum(1.0, np.maximum(np.abs(lie), np.abs(truth)))
         tie_flags[k] = np.abs(diff) <= _TIE_TOL * scale
         states += 2 * k + 1
@@ -150,7 +142,7 @@ def optimal_policy(params: ModelParams) -> OnlinePolicy:
     value and actions equal ``solve_two_expert``'s bit for bit."""
     packed: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * params.horizon
     for k, v, lie, truth in _backward(params):
-        packed[k] = np.packbits(lie >= truth)  # the table's lie - truth >= 0.0, as both are finite
+        packed[k] = np.packbits(lie >= truth)
     return OnlinePolicy(params, float(v[0]), _PackedActions(tuple(packed)))
 
 
@@ -203,12 +195,9 @@ def simulate_online(
     policy's root value.
 
     A stage's loss is row 4i + lie + 2 * correct of one flat table, at
-    offset index i: Q(1 - rho_j), Q(1), Q(0) or Q(rho_j).  Each stage only
-    gathers its actions and moves every trial's position; once per block of
-    ``_STAGE_BLOCK`` stages the losses are gathered in one pass and added
-    stage by stage, so every trial sums its losses in stage order (a sum
-    over the block could change the bits: numpy sums a contiguous axis
-    pairwise).
+    offset index i: Q(1 - rho_j), Q(1), Q(0) or Q(rho_j).  Each stage
+    gathers every trial's action and loss, adds the loss and moves the
+    trial, so every trial sums its losses in stage order.
     """
     if policy.params != params:
         raise ValueError("policy was solved for different parameters")
@@ -226,19 +215,12 @@ def simulate_online(
     # pos = j + k indexes stage k's actions: +2 after a correct lie (j + 1),
     # +0 after a wrong truth (j - 1), else +1
     step = np.array([0, 1, 1, 2])
-    pos = np.zeros((_STAGE_BLOCK + 1, trials), dtype=np.intp)  # row r: stage lo + r
-    code = np.empty((_STAGE_BLOCK, trials), dtype=np.uint8)
+    pos = np.zeros(trials, dtype=np.intp)
     loss = np.zeros(trials)
-    for lo in range(0, n, _STAGE_BLOCK):
-        m = min(_STAGE_BLOCK, n - lo)
-        for r in range(m):
-            lie = policy.lie_optimal[lo + r].view(np.uint8)
-            np.add(lie.take(pos[r]), correct[lo + r], out=code[r])
-            np.add(pos[r], step.take(code[r]), out=pos[r + 1])
-        rows = 4 * (pos[:m] + (n - np.arange(lo, lo + m))[:, None]) + code[:m]  # i = pos + n - k
-        for row in table.take(rows):
-            loss += row
-        pos[0] = pos[m]
+    for k in range(n):
+        code = policy.lie_optimal[k].view(np.uint8).take(pos) + correct[k]
+        loss += table.take(4 * (pos + (n - k)) + code)  # i = pos + n - k
+        pos += step.take(code)
     return _mc_summary(loss, trials, seed)
 
 

@@ -29,7 +29,7 @@ from mwadversary import (
 )
 from mwadversary.core import GuardError
 from mwadversary.exact_eval import _stage_costs
-from mwadversary.online_dp import _STAGE_BLOCK, _philox
+from mwadversary.online_dp import _backward, _philox
 from mwadversary.verify import expectimax_value
 
 E = math.e
@@ -90,9 +90,9 @@ class TestSolveTwoExpert:
 
     @pytest.mark.parametrize("n", [1, 2, 60])
     def test_stages_own_their_values(self, n):
-        """The backward pass reuses its buffers, so the table keeps copies: no
-        two stages share memory, and every stage is still the Bellman step
-        (costs, then the moved offset, then the kept one) from the next."""
+        """The table keeps every stage as its own array: no two stages share
+        memory, and every stage is still the Bellman step (costs, then the
+        moved offset, then the kept one) from the next."""
         p = params(mu=0.3, horizon=n, rho0=0.2)
         table = solve_two_expert(p)
         lie_costs, truth_costs = _stage_costs(p)
@@ -105,6 +105,27 @@ class TestSolveTwoExpert:
             truth = truth_costs[window] + (1.0 - mu) * v[:-2] + mu * v[1:-1]
             assert np.array_equal(table.values[k], np.maximum(lie, truth))
             assert np.array_equal(table.lie_optimal[k], lie >= truth)
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_backward_stages_can_be_kept(self, n):
+        """Every array the backward pass yields is new, so a caller may keep
+        them all: no two kept arrays share memory, and each kept stage's
+        values are the larger action, each action the Bellman step from the
+        kept next stage."""
+        p = params(mu=0.3, horizon=n, rho0=0.2)
+        stages = list(_backward(p))
+        assert [k for k, *_ in stages] == list(range(n - 1, -1, -1))
+        kept = [a for _, *arrays in stages for a in arrays]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1:])
+        lie_costs, truth_costs = _stage_costs(p)
+        mu = p.mu
+        nxt = np.zeros(2 * n + 1)
+        for k, v, lie, truth in stages:
+            window = slice(n - k, n + k + 1)
+            assert np.array_equal(lie, lie_costs[window] + mu * nxt[2:] + (1.0 - mu) * nxt[1:-1])
+            assert np.array_equal(truth, truth_costs[window] + (1.0 - mu) * nxt[:-2] + mu * nxt[1:-1])
+            assert np.array_equal(v, np.maximum(lie, truth))
+            nxt = v
 
     @pytest.mark.parametrize("n", [100, 200, 400])
     def test_state_count_probe(self, n):
@@ -223,14 +244,12 @@ class TestOptimalPolicy:
         pytest.param(0.7, 0.2, LOSSES["squared"], id="0.7-0.2-squared"),
         pytest.param(0.5, 0.3, math.sqrt, id="0.5-0.3-math.sqrt"),  # scalar-only loss
     ])
-    @pytest.mark.parametrize("n", [1, 7, 60, _STAGE_BLOCK - 1, _STAGE_BLOCK, _STAGE_BLOCK + 1,
-                                   2 * _STAGE_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 7, 60, 15, 16, 17, 33])
     @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
     def test_simulation_bit_identical(self, mu, rho0, loss, n, trials):
         """Lean record and table play the same per-trial losses, equal to a
         row-major play of the whole draw block at once, on both sides of
-        every edge of the blocks of draws (trials) and of loss gathers
-        (stages)."""
+        every edge of the blocks of draws (trials)."""
         p = params(mu=mu, horizon=n, rho0=rho0, loss=loss)
         table = solve_two_expert(p)
         lean = simulate_online(p, optimal_policy(p), trials, seed=1729)
