@@ -11,6 +11,7 @@ dynamic program exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -223,11 +224,14 @@ class BinomialDist:
     trials: int
     pmf: np.ndarray
 
-    @property
+    @functools.cached_property
     def tails(self) -> np.ndarray:
-        """P(Z > j) for j = 0..trials (the last entry is exactly 0)."""
+        """P(Z > j) for j = 0..trials (the last entry is exactly 0), built on
+        first use and kept: a walk charges many runs of one law."""
         suffix = np.cumsum(self.pmf[::-1])[::-1]  # suffix[j] = P(Z >= j)
-        return np.append(suffix[1:], 0.0)
+        tails = np.append(suffix[1:], 0.0)
+        tails.flags.writeable = False  # shared by every caller
+        return tails
 
 
 def binomial(trials: int, p: float) -> BinomialDist:

@@ -6,8 +6,11 @@ at a time, each run reading a binomial tail sum and a convolution of the
 integer-offset distribution off one binomial law; policies that lie at each
 stage with a fixed probability (the no-adversary and no-information
 baselines among them) by pushing that distribution one stage at a time,
-which gives every prefix horizon in the same pass.  The optimal offline
-policy is a longest path over (stage, lies so far).  Two brute-force
+which gives every prefix horizon in the same pass.  The no-adversary
+baseline needs no pass under the absolute loss: there the system's error is
+the weight-average of two experts that each err with probability 1 - mu
+whatever their weights, so its value is (1 - mu) per stage.  The optimal
+offline policy is a longest path over (stage, lies so far).  Two brute-force
 enumerators serve as independent oracles: over honest sample paths for the
 evaluators, and over entire policy trees for the optimum.  The module also
 provides numeric verifiers for the two analytic inequalities the normal-CDF
@@ -96,13 +99,17 @@ class OffsetDistribution:
         return np.arange(self.support_min, self.support_min + self.masses.size)
 
     def after_run(self, law: BinomialDist, lie: bool) -> "OffsetDistribution":
-        """Convolve in a run of ``law.trials`` lies (``law`` = Bin(n, mu): each
-        adds +1 with probability mu) or truths (``law`` = Bin(n, 1 - mu): each
-        adds -1 with probability 1 - mu)."""
-        if lie:
-            return OffsetDistribution(self.support_min, np.convolve(self.masses, law.pmf))
-        return OffsetDistribution(self.support_min - law.trials,
-                                  np.convolve(self.masses, law.pmf[::-1]))
+        """Convolve in a run of ``law.trials`` lies or truths (see :func:`_convolve_run`)."""
+        return OffsetDistribution(*_convolve_run(self.support_min, self.masses, law, lie))
+
+
+def _convolve_run(lo: int, masses: np.ndarray, law: BinomialDist, lie: bool):
+    """The offset law (lowest offset, masses) after a run of ``law.trials``
+    lies (``law`` = Bin(n, mu): each adds +1 with probability mu) or truths
+    (``law`` = Bin(n, 1 - mu): each adds -1 with probability 1 - mu)."""
+    if lie:
+        return lo, np.convolve(masses, law.pmf)
+    return lo - law.trials, np.convolve(masses, law.pmf[::-1])
 
 
 def _offset_losses(params: ModelParams, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,11 +153,12 @@ def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribu
             .after_run(binomial(m_truths, 1.0 - mu), False))
 
 
-def _run(total: float, dist: OffsetDistribution, law: BinomialDist, lie: bool,
+def _run(total: float, lo: int, masses: np.ndarray, law: BinomialDist, lie: bool,
          losses: tuple[np.ndarray, np.ndarray], params: ModelParams):
     """Add to ``total`` a run of ``law.trials`` lies (``law`` = Bin(n, mu)) or
-    truths (``law`` = Bin(n, 1 - mu)) from offset law ``dist``; returns the new
-    total and offset law.
+    truths (``law`` = Bin(n, 1 - mu)) from the offset law with masses
+    ``masses`` on offsets ``lo``, ``lo + 1``, ...; returns the new total and
+    the new law's lowest offset and masses.
 
     A stage that leaves the weight alone costs Q(1) in a lie run (the honest
     expert errs), Q(0) in a truth run.  The (i+1)-th weight-moving stage
@@ -160,18 +168,20 @@ def _run(total: float, dist: OffsetDistribution, law: BinomialDist, lie: bool,
     would leave offsets -N..N is an error.
     """
     n, mu, horizon = law.trials, params.mu, params.horizon
+    hi = lo + masses.size - 1
     if lie:
         total += n * (1.0 - mu) * params.q(1.0)
-        q, first = losses[0], horizon + dist.support  # index in q of each run's first stage
+        q, first = losses[0], horizon + lo  # index in q of the lowest offset's first stage
     else:
         total += n * mu * params.q(0.0)
-        q, first = losses[1][::-1], horizon - dist.support  # walks the table downwards
-    if first.min() < 0 or first.max() > q.size - 1 - n:
-        raise ValueError(f"a run of {n} from offsets {dist.support} leaves -{horizon}..{horizon}")
+        q, first = losses[1][::-1], horizon - hi  # walks the table downwards
+    if not (0 <= first and first + hi - lo <= q.size - 1 - n):
+        raise ValueError(f"a run of {n} from offsets {lo}..{hi} leaves -{horizon}..{horizon}")
     windows = as_strided(q, (q.size - n, n + 1), q.strides * 2, writeable=False)
-    # a strided operand can change the order in which @ sums, so gather contiguous rows
-    total += float(dist.masses @ (np.ascontiguousarray(windows[first]) @ law.tails))
-    return total, dist.after_run(law, lie)
+    rows = windows[first : first + masses.size]  # one row per offset, upwards or downwards
+    # a strided operand can change the order in which @ sums, so copy the rows contiguous
+    total += float(masses @ (np.ascontiguousarray(rows if lie else rows[::-1]) @ law.tails))
+    return (total, *_convolve_run(lo, masses, law, lie))
 
 
 def value_false(n: int, rho: float, params: ModelParams) -> float:
@@ -182,7 +192,7 @@ def value_false(n: int, rho: float, params: ModelParams) -> float:
     alone; the stages where it is correct cost Q at successively punished
     weights, which collapses to a binomial tail sum.  O(N) arithmetic.
     """
-    return _run(0.0, OffsetDistribution.point(), binomial(n, params.mu), True,
+    return _run(0.0, 0, np.ones(1), binomial(n, params.mu), True,
                 _offset_losses(params, rho), params)[0]
 
 
@@ -190,7 +200,7 @@ def value_true(n: int, rho: float, params: ModelParams) -> float:
     """Expected loss of telling the truth for ``n`` consecutive stages from
     relative weight ``rho`` (mirror of :func:`value_false` with rewarded
     weights and the honest expert's error rate)."""
-    return _run(0.0, OffsetDistribution.point(), binomial(n, 1.0 - params.mu), False,
+    return _run(0.0, 0, np.ones(1), binomial(n, 1.0 - params.mu), False,
                 _offset_losses(params, rho), params)[0]
 
 
@@ -207,10 +217,10 @@ def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
             f"blocks cover {blocks.horizon} stages but the horizon is {params.horizon}"
         )
     mu, losses = params.mu, _offset_losses(params, params.rho0)
-    total, dist = 0.0, OffsetDistribution.point()
+    total, lo, masses = 0.0, 0, np.ones(1)
     for n, m in blocks:
-        total, dist = _run(total, dist, binomial(n, mu), True, losses, params)
-        total, dist = _run(total, dist, binomial(m, 1.0 - mu), False, losses, params)
+        total, lo, masses = _run(total, lo, masses, binomial(n, mu), True, losses, params)
+        total, lo, masses = _run(total, lo, masses, binomial(m, 1.0 - mu), False, losses, params)
     return total
 
 
@@ -232,14 +242,15 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
     pairs = [_ratio_pair(mu, max_denominator, n)[2] for n in ns]
     lies, truths = binomial(b, mu), binomial(a, 1.0 - mu)
     out = np.zeros(len(ns))
-    total, dist = 0.0, OffsetDistribution.point()
+    total, lo, masses = 0.0, 0, np.ones(1)
     for p in range(max(pairs, default=-1) + 1):
         if p:
-            total, dist = _run(total, dist, lies, True, losses, params)
-            total, dist = _run(total, dist, truths, False, losses, params)
+            total, lo, masses = _run(total, lo, masses, lies, True, losses, params)
+            total, lo, masses = _run(total, lo, masses, truths, False, losses, params)
         for i, n in enumerate(ns):
             if pairs[i] == p:
-                out[i] = _run(total, dist, binomial(n - p * (a + b), mu), True, losses, params)[0]
+                tail = binomial(n - p * (a + b), mu)
+                out[i] = _run(total, lo, masses, tail, True, losses, params)[0]
     return out
 
 
@@ -418,7 +429,16 @@ def mixed_policy_values(lie_prob, params: ModelParams) -> np.ndarray:
 def two_honest_values(params: ModelParams) -> np.ndarray:
     """Expected loss over every horizon r = 0..N when the adversary slot is
     filled by a second independent honest expert of the same accuracy (the
-    no-adversary baseline): a policy that lies with probability 1 - mu."""
+    no-adversary baseline): a policy that lies with probability 1 - mu.
+
+    Under the absolute loss this is exactly (1 - mu) * r, for every rho0 and
+    epsilon: the error is the weight-average of the two experts' 0/1 errors,
+    and each expert errs with probability 1 - mu independently of the
+    weights, which depend only on earlier stages.  Any other loss Q is not
+    linear in the error, so it takes the forward pass.
+    """
+    if params.is_absolute:
+        return (1.0 - params.mu) * np.arange(params.horizon + 1)
     return mixed_policy_values(1.0 - params.mu, params)
 
 

@@ -72,8 +72,10 @@ def _backward(params: ModelParams) -> Iterator[tuple[int, np.ndarray, np.ndarray
     for k in range(n - 1, -1, -1):
         window = slice(n - k, n + k + 1)
         up, down = mu * v, (1.0 - mu) * v
-        lie = (lie_costs[window] + up[2:]) + down[1:-1]
-        truth = (truth_costs[window] + down[:-2]) + up[1:-1]
+        lie = lie_costs[window] + up[2:]
+        lie += down[1:-1]
+        truth = truth_costs[window] + down[:-2]
+        truth += up[1:-1]
         v = np.maximum(lie, truth)
         yield k, v, lie, truth
 

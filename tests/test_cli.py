@@ -616,6 +616,13 @@ class TestHorizonGrouping:
             for name, col in cols.items():
                 assert float(row[col]) == pytest.approx(want[name], rel=1e-12, abs=0.0)
 
+    def test_no_adversary_column_is_exact(self, tmp_path):
+        """(1 - mu) * N, with no mass drift from a 100-stage forward pass."""
+        out = tmp_path / "exact.csv"
+        assert main(["compare", "--N", "100", "--mu", "0.3", "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert [row[header.index("v_no_adversary")] for row in rows] == ["70"]
+
     def test_multi_expert_matches_per_row_two_expert_value(self, tmp_path):
         out = tmp_path / "grp_me.csv"
         assert main(["multi-expert", "--N", "30,10,20", "--trials", "5",

@@ -261,10 +261,9 @@ class TestOffsetLossTable:
     def test_run_leaving_the_table_raises(self, n, lie, start):
         p = params(horizon=2)
         width = start[-1] - start[0] + 1
-        dist = OffsetDistribution(start[0], np.full(width, 1.0 / width))
         with pytest.raises(ValueError):
-            _run(0.0, dist, binomial(n, p.mu if lie else 1.0 - p.mu), lie,
-                 _offset_losses(p, p.rho0), p)
+            _run(0.0, start[0], np.full(width, 1.0 / width),
+                 binomial(n, p.mu if lie else 1.0 - p.mu), lie, _offset_losses(p, p.rho0), p)
 
 
 @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
@@ -445,6 +444,16 @@ class TestRatioPolicyValues:
         ratio_policy_values(horizons, params(0.3, 2000), 20)
         assert len(built) <= 2 + len(horizons)
 
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+    def test_matches_the_forward_pass_of_its_lie_vector(self, mu):
+        """The walk against the stage-by-stage forward pass of each ratio
+        policy's 0/1 lie vector, which shares no run step with it."""
+        got = ratio_policy_values([400, 2000], params(mu, 2000), 20)
+        for n, value in zip([400, 2000], got):
+            p = params(mu, n)
+            lies = [float(c == "F") for c in ratio_policy(p).text]
+            assert value == pytest.approx(mixed_policy_values(lies, p)[-1], rel=1e-12, abs=0.0)
+
     def test_rejects_horizons_outside_params(self):
         with pytest.raises(ValueError):
             ratio_policy_values([1, 4], params(horizon=4), 20)
@@ -582,6 +591,22 @@ class TestMixedPolicyValues:
             mixed_policy_values([0.5, 1.5, 0.5], p)
         with pytest.raises(ValueError):
             mixed_policy_values(math.nan, p)
+
+
+@pytest.mark.parametrize("n", [1, 40, 2000])
+def test_two_honest_values_closed_form_matches_the_forward_pass(n):
+    """Under the absolute loss the no-adversary value is (1 - mu) per stage
+    whatever rho0 and epsilon; the forward pass is its oracle."""
+    for mu, rho0, eps in product((0.1, 0.3, 0.5, 0.7, 0.93), (0.05, 0.5, 0.9), (1 / E, 0.6, 0.9)):
+        p = params(mu, n, rho0, eps)
+        np.testing.assert_allclose(two_honest_values(p), mixed_policy_values(1.0 - mu, p),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_two_honest_values_other_losses_take_the_forward_pass():
+    for mu, rho0 in product((0.3, 0.7), (0.2, 0.9)):
+        p = params(mu, 60, rho0, loss=lambda y: y * y)
+        assert np.array_equal(two_honest_values(p), mixed_policy_values(1.0 - mu, p))
 
 
 def test_two_honest_values_every_prefix():
