@@ -354,8 +354,9 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
               "v_offline_opt", "v_online", "v_no_adversary", "v_no_info"]
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
-        # one backward pass, two forward passes and one walk over the ratio
-        # policies' shared prefix pairs hold the values of every horizon
+        # one backward pass, the no-adversary column, the no-information
+        # adjoint pass and one walk over the ratio policies' shared prefix
+        # pairs hold the values of every horizon
         longest = _params(cfg, mu, rho0, max(cfg.horizons))
         online = optimal_values(longest)
         no_adversary = two_honest_values(longest)

@@ -2,19 +2,21 @@
 
 Everything here is exact (up to double precision): block policies, the
 all-lies and all-truths policies among them, are evaluated one straight run
-at a time, each run reading a binomial tail sum and a convolution of the
-integer-offset distribution off one binomial law; policies that lie at each
-stage with a fixed probability (the no-adversary and no-information
-baselines among them) by pushing that distribution one stage at a time,
-which gives every prefix horizon in the same pass.  The no-adversary
-baseline needs no pass under the absolute loss: there the system's error is
-the weight-average of two experts that each err with probability 1 - mu
-whatever their weights, so its value is (1 - mu) per stage.  The optimal
-offline policy is a longest path over (stage, lies so far).  Two brute-force
-enumerators serve as independent oracles: over honest sample paths for the
-evaluators, and over entire policy trees for the optimum.  The module also
-provides numeric verifiers for the two analytic inequalities the normal-CDF
-approximation analysis rests on.
+at a time, each run charged as one correlation of a contiguous slice of the
+per-offset loss table with a binomial law's tail sums, and the
+integer-offset distribution convolved with that law only when a later run
+needs it; policies that lie at each stage with a fixed probability (the
+oracle of online_dp's no-information pass among them) by pushing that
+distribution one stage at a time, which gives every prefix horizon in the
+same pass.  The no-adversary baseline needs no pass under the absolute
+loss: there the system's error is the weight-average of two experts that
+each err with probability 1 - mu whatever their weights, so its value is
+(1 - mu) per stage.  The optimal offline policy is a longest path over
+(stage, lies so far).  Two brute-force enumerators serve as independent
+oracles: over honest sample paths for the evaluators, and over entire
+policy trees for the optimum.  The module also provides numeric verifiers
+for the two analytic inequalities the normal-CDF approximation analysis
+rests on.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import BinomialDist, GuardError, ModelParams, _is_count, binomial, weight_power
 from .policies import BlockForm, OfflinePolicy, _ratio_pair, block_form
@@ -153,19 +154,23 @@ def offset_distribution(n_lies: int, m_truths: int, mu: float) -> OffsetDistribu
             .after_run(binomial(m_truths, 1.0 - mu), False))
 
 
-def _run(total: float, lo: int, masses: np.ndarray, law: BinomialDist, lie: bool,
-         losses: tuple[np.ndarray, np.ndarray], params: ModelParams):
-    """Add to ``total`` a run of ``law.trials`` lies (``law`` = Bin(n, mu)) or
-    truths (``law`` = Bin(n, 1 - mu)) from the offset law with masses
-    ``masses`` on offsets ``lo``, ``lo + 1``, ...; returns the new total and
-    the new law's lowest offset and masses.
+def _charge(total: float, lo: int, masses: np.ndarray, law: BinomialDist, lie: bool,
+            losses: tuple[np.ndarray, np.ndarray], params: ModelParams) -> float:
+    """``total`` plus the expected loss of a run of ``law.trials`` lies
+    (``law`` = Bin(n, mu)) or truths (``law`` = Bin(n, 1 - mu)) from the
+    offset law with masses ``masses`` on offsets ``lo``, ``lo + 1``, ...
 
     A stage that leaves the weight alone costs Q(1) in a lie run (the honest
     expert errs), Q(0) in a truth run.  The (i+1)-th weight-moving stage
     occurs with probability P(Bin > i) and costs Q at the offset i steps from
-    the start, read off one window of the per-offset table ``losses``
-    (:func:`_offset_losses`).  A zero-length run adds exactly 0.0; a run that
-    would leave offsets -N..N is an error.
+    the start.  With the per-offset table ``q`` (:func:`_offset_losses`, read
+    downwards in a truth run) and ``first`` the index of the start's lowest
+    (truth run: highest) offset, that offset's r-th neighbour costs
+    sum_i q[first + r + i] P(Bin > i): together, one ``"valid"`` correlation
+    of a contiguous slice of ``q`` with the tail sums, weighted by the
+    masses.  The law is not convolved (:func:`_run` does that).  A
+    zero-length run adds exactly 0.0; a run that would leave offsets -N..N
+    is an error.
     """
     n, mu, horizon = law.trials, params.mu, params.horizon
     hi = lo + masses.size - 1
@@ -177,10 +182,15 @@ def _run(total: float, lo: int, masses: np.ndarray, law: BinomialDist, lie: bool
         q, first = losses[1][::-1], horizon - hi  # walks the table downwards
     if not (0 <= first and first + hi - lo <= q.size - 1 - n):
         raise ValueError(f"a run of {n} from offsets {lo}..{hi} leaves -{horizon}..{horizon}")
-    windows = as_strided(q, (q.size - n, n + 1), q.strides * 2, writeable=False)
-    rows = windows[first : first + masses.size]  # one row per offset, upwards or downwards
-    # a strided operand can change the order in which @ sums, so copy the rows contiguous
-    total += float(masses @ (np.ascontiguousarray(rows if lie else rows[::-1]) @ law.tails))
+    per_offset = np.correlate(q[first : first + masses.size + n], law.tails, "valid")
+    return total + float(masses @ (per_offset if lie else per_offset[::-1]))
+
+
+def _run(total: float, lo: int, masses: np.ndarray, law: BinomialDist, lie: bool,
+         losses: tuple[np.ndarray, np.ndarray], params: ModelParams):
+    """:func:`_charge` a run to ``total`` and convolve the offset law through
+    it; returns the new total and the new law's lowest offset and masses."""
+    total = _charge(total, lo, masses, law, lie, losses, params)
     return (total, *_convolve_run(lo, masses, law, lie))
 
 
@@ -192,16 +202,16 @@ def value_false(n: int, rho: float, params: ModelParams) -> float:
     alone; the stages where it is correct cost Q at successively punished
     weights, which collapses to a binomial tail sum.  O(N) arithmetic.
     """
-    return _run(0.0, 0, np.ones(1), binomial(n, params.mu), True,
-                _offset_losses(params, rho), params)[0]
+    return _charge(0.0, 0, np.ones(1), binomial(n, params.mu), True,
+                   _offset_losses(params, rho), params)
 
 
 def value_true(n: int, rho: float, params: ModelParams) -> float:
     """Expected loss of telling the truth for ``n`` consecutive stages from
     relative weight ``rho`` (mirror of :func:`value_false` with rewarded
     weights and the honest expert's error rate)."""
-    return _run(0.0, 0, np.ones(1), binomial(n, 1.0 - params.mu), False,
-                _offset_losses(params, rho), params)[0]
+    return _charge(0.0, 0, np.ones(1), binomial(n, 1.0 - params.mu), False,
+                   _offset_losses(params, rho), params)
 
 
 def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
@@ -230,8 +240,9 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
 
     All share the (b lies, a truths) prefix pairs, and horizon N is p pairs
     then one lie run, so one walk over the pairs serves every horizon: on
-    reaching a horizon's p it charges its lie run (p = 0: all lies).  The
-    pair's two laws are built once for the walk.
+    reaching a horizon's p it charges its lie run (p = 0: all lies) without
+    convolving the law through it.  The pair's two laws are built once for
+    the walk.
     """
     ns = list(horizons)
     if not all(_is_count(n) and 2 <= n <= params.horizon for n in ns):
@@ -250,7 +261,7 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
         for i, n in enumerate(ns):
             if pairs[i] == p:
                 tail = binomial(n - p * (a + b), mu)
-                out[i] = _run(total, lo, masses, tail, True, losses, params)[0]
+                out[i] = _charge(total, lo, masses, tail, True, losses, params)
     return out
 
 

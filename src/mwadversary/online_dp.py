@@ -17,7 +17,9 @@ loss, so each trial sums its losses in stage order.
 Also here: the exact K-expert model on a mistake-count grid (one two-point
 average per honest expert, along its axis), a clairvoyant solver that takes
 a block of realizations in one pass with its Monte Carlo harness, and the
-baseline of an adversary with no outcome information.
+baseline of an adversary with no outcome information, whose coin flips walk
+the offset with one fixed kernel: an adjoint pass carries the stage costs
+back through that kernel, one correlation per stage.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GuardError, ModelParams, _check_epsilon, _positive_int
-from .exact_eval import _offset_losses, _stage_costs, mixed_policy_values
+from .exact_eval import _offset_losses, _stage_costs
 
 __all__ = [
     "ValueTable",
@@ -338,13 +340,17 @@ def clairvoyant_values(realized, params: KExpertParams) -> np.ndarray:
     honest_w = w0[1:, None] * eps ** mistakes_before.astype(float)  # (trials, honest, N)
     honest_total = honest_w.sum(axis=1)
     honest_wrong = (honest_w * wrong).sum(axis=1)
+    adv_w = w0[0] * eps ** np.arange(n, dtype=float)  # over adversary mistake counts
+    # eps < 1, so stage k's smallest total weight is at k mistakes: the
+    # backward loop would first meet the largest stage k that underflows
+    underflow = np.flatnonzero(~np.all(adv_w + honest_total > 0.0, axis=0))
+    if underflow.size:
+        raise GuardError(
+            f"epsilon={eps} and N={n}: all weights underflow to 0 at stage {underflow[-1]}")
     v = np.zeros((r.shape[0], n + 1))  # over adversary mistake counts 0..n at stage n
     for k in range(n - 1, -1, -1):
-        adv_w = w0[0] * eps ** np.arange(k + 1, dtype=float)
-        total = adv_w + honest_total[:, k, None]
-        if not np.all(total > 0.0):
-            raise GuardError(f"epsilon={eps} and N={n}: all weights underflow to 0 at stage {k}")
-        lie = (adv_w + honest_wrong[:, k, None]) / total + v[:, 1 : k + 2]
+        total = adv_w[: k + 1] + honest_total[:, k, None]
+        lie = (adv_w[: k + 1] + honest_wrong[:, k, None]) / total + v[:, 1 : k + 2]
         truth = honest_wrong[:, k, None] / total + v[:, : k + 1]
         v = np.maximum(lie, truth)
     return v[:, 0]
@@ -385,10 +391,27 @@ def no_information_values(params: ModelParams) -> np.ndarray:
     """Expected loss of the coin-flip adversary (the optimum under no
     outcome information) over every horizon r = 0..N: per stage
     1 - mu + mu*rho - rho/2, taken under the exact offset distribution the
-    coin flips induce."""
+    coin flips induce.
+
+    The coin flips move the offset by a lazy walk with one fixed kernel K:
+    +1 with probability mu/2, -1 with probability (1 - mu)/2.  Stage k's
+    expected cost is then ((K^T)^k c)(0) for c the stage costs averaged
+    over the two actions, so the adjoint pass starts from u = c on offsets
+    -N..N, reads u at offset 0 and replaces u by its ``"valid"`` correlation
+    with K, one numpy call per stage.  It carries no offset law, so no mass
+    can drift; ``exact_eval.mixed_policy_values(0.5, params)`` is its oracle.
+    """
     if not params.is_absolute:
         raise ValueError("the no-information baseline is derived for the absolute loss")
-    return mixed_policy_values(0.5, params)
+    n, mu = params.horizon, params.mu
+    lie_costs, truth_costs = _stage_costs(params)
+    u = 0.5 * lie_costs + 0.5 * truth_costs
+    kernel = np.array([0.5 * (1.0 - mu), 0.5 * (1.0 - mu) + 0.5 * mu, 0.5 * mu])
+    stages = np.empty(n)
+    for k in range(n):
+        stages[k] = u[n - k]  # offset 0; u covers offsets -(n - k)..n - k
+        u = np.correlate(u, kernel, "valid")
+    return np.concatenate(([0.0], np.cumsum(stages)))
 
 
 def no_information_baseline(params: ModelParams) -> float:

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mwadversary import (
     BlockForm,
@@ -38,7 +39,8 @@ from mwadversary import (
 )
 from mwadversary.core import GuardError, binomial
 from mwadversary import exact_eval
-from mwadversary.exact_eval import _offset_losses, _run
+from mwadversary.exact_eval import _charge, _convolve_run, _offset_losses, _run
+from mwadversary.policies import block_form
 
 E = math.e
 
@@ -261,9 +263,64 @@ class TestOffsetLossTable:
     def test_run_leaving_the_table_raises(self, n, lie, start):
         p = params(horizon=2)
         width = start[-1] - start[0] + 1
-        with pytest.raises(ValueError):
-            _run(0.0, start[0], np.full(width, 1.0 / width),
-                 binomial(n, p.mu if lie else 1.0 - p.mu), lie, _offset_losses(p, p.rho0), p)
+        for step in (_run, _charge):
+            with pytest.raises(ValueError):
+                step(0.0, start[0], np.full(width, 1.0 / width),
+                     binomial(n, p.mu if lie else 1.0 - p.mu), lie, _offset_losses(p, p.rho0), p)
+
+    @pytest.mark.parametrize("lie", [True, False])
+    def test_zero_length_run_charges_exactly_nothing(self, lie):
+        p = params(mu=0.3, horizon=40, rho0=0.2)
+        masses, law = binomial(12, 0.3).pmf, binomial(0, 0.3 if lie else 0.7)
+        for total in (0.0, math.pi):
+            assert _charge(total, -3, masses, law, lie, _offset_losses(p, p.rho0), p) == total
+
+
+def copied_rows_run(total, lo, masses, law, lie, losses, p):
+    """Reference run step in the form the correlation replaced: the loss
+    table's run-length windows, one strided row per offset, copied
+    contiguous and multiplied by the tail sums."""
+    n, mu, horizon = law.trials, p.mu, p.horizon
+    if lie:
+        total += n * (1.0 - mu) * p.q(1.0)
+        q, first = losses[0], horizon + lo
+    else:
+        total += n * mu * p.q(0.0)
+        q, first = losses[1][::-1], horizon - (lo + masses.size - 1)
+    rows = sliding_window_view(q, n + 1)[first : first + masses.size]
+    total += float(masses @ (np.ascontiguousarray(rows if lie else rows[::-1]) @ law.tails))
+    return (total, *_convolve_run(lo, masses, law, lie))
+
+
+def copied_rows_block_value(blocks, p):
+    """Reference block evaluation on :func:`copied_rows_run`."""
+    mu, losses = p.mu, _offset_losses(p, p.rho0)
+    total, lo, masses = 0.0, 0, np.ones(1)
+    for n, m in blocks:
+        total, lo, masses = copied_rows_run(total, lo, masses, binomial(n, mu), True, losses, p)
+        total, lo, masses = copied_rows_run(total, lo, masses, binomial(m, 1.0 - mu), False,
+                                            losses, p)
+    return total
+
+
+class TestRunCharge:
+    """A run charged as one correlation of the loss table against the copied rows."""
+
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+    def test_ratio_walk(self, mu):
+        got = ratio_policy_values([400, 2000], params(mu, 2000), 20)
+        for n, value in zip([400, 2000], got):
+            p = params(mu, n)
+            want = copied_rows_block_value(block_form(ratio_policy(p)), p)
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_mixed_block_policy(self):
+        cuts = np.random.default_rng(2000).choice(np.arange(1, 2000), 39, replace=False)
+        lengths = np.diff(np.concatenate(([0], np.sort(cuts), [2000]))).tolist()
+        blocks = tuple(zip(lengths[::2], lengths[1::2]))
+        p = params(0.62, 2000, 0.3)
+        assert value_block_policy(BlockForm(blocks), p) == pytest.approx(
+            copied_rows_block_value(blocks, p), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])

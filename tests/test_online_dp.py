@@ -1,6 +1,7 @@
 """Backward-induction solvers, Monte Carlo harness, and baselines."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mwadversary import (
     clairvoyant_value,
     clairvoyant_values,
     exhaustive_offline_optimum,
+    mixed_policy_values,
     monte_carlo_k_expert,
     mw_step,
     no_info_conditional_losses,
@@ -440,9 +442,10 @@ class TestClairvoyantValues:
         assert np.array_equal(monte_carlo_k_expert(kp, trials, 11).per_trial, want)
 
     def test_underflowing_weights_are_a_guard_violation(self):
-        # at epsilon = 1e-9, 36 mistakes of every expert underflow all weights to 0
+        # at epsilon = 1e-9, 36 mistakes of every expert underflow all weights
+        # to 0, so stages 36..59 do; the backward loop meets stage 59 first
         kp = KExpertParams(epsilon=1e-9, horizon=60, accuracies=(0.3,), initial_weights=(1.0, 1.0))
-        with pytest.raises(GuardError, match=r"epsilon=1e-09 and N=60"):
+        with pytest.raises(GuardError, match=r"epsilon=1e-09 and N=60: .* at stage 59$"):
             clairvoyant_values(np.zeros((2, 1, 60), dtype=int), kp)
         with pytest.raises(GuardError, match=r"epsilon=1e-09 and N=60"):
             monte_carlo_k_expert(kp, trials=200, seed=1729)
@@ -543,3 +546,29 @@ def test_no_information_values_cost_half_per_stage_at_even_odds():
     for rho0 in (0.2, 0.5):
         values = no_information_values(params(horizon=40, rho0=rho0))
         assert values == pytest.approx(0.5 * np.arange(41), abs=1e-12)
+
+
+NO_INFO_GRID = list(product((0.1, 0.3, 0.5, 0.7, 0.93), (0.05, 0.5, 0.9), (1 / E, 0.6, 0.9)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 2000])
+def test_no_information_values_match_the_forward_pass(n):
+    """The adjoint pass against the forward pass of the same coin flips,
+    which pushes the offset law instead of the stage costs."""
+    for mu, rho0, eps in NO_INFO_GRID:
+        p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps)
+        np.testing.assert_allclose(no_information_values(p), mixed_policy_values(0.5, p),
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("eps", [1 / E, 0.6, 0.9], ids=["1/e", "0.6", "0.9"])
+def test_no_information_values_mirror_identity(eps):
+    """Swapping mu for 1 - mu and rho0 for 1 - rho0 mirrors the offset walk
+    and the weights, and the per-stage loss 1 - mu + (mu - 1/2) rho moves by
+    1/2 - mu, so every prefix r moves by (1/2 - mu) r: a check that needs no
+    second pass."""
+    r = np.arange(2001)
+    for mu, rho0 in product((0.1, 0.3, 0.45), (0.05, 0.5, 0.8)):
+        v = no_information_values(params(mu=mu, horizon=2000, rho0=rho0, epsilon=eps))
+        mirror = no_information_values(params(mu=1 - mu, horizon=2000, rho0=1 - rho0, epsilon=eps))
+        assert np.all(np.abs(v - mirror - (0.5 - mu) * r) <= 1e-12 * v)
