@@ -10,9 +10,12 @@ multi-expert   one adversary against several honest experts vs the reduced
                two-expert model, Monte Carlo and exact columns
 verify         run the built-in verification suites and report pass/fail
 
-Configuration is a flat INI-style ``key = value`` file; every key can be
-overridden by a command-line flag of the same name.  Exit codes: 0 success,
-1 verification failure, 2 invalid configuration, 3 guard violation.
+Each scenario reads its own keys (``_DEFAULTS``) and takes a command-line
+flag for each of them and for no other key.  One flat INI-style
+``key = value`` file may set any scenario's keys; a scenario takes (and
+hashes into ``config_sha256``) only its own, and a flag overrides the file.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
+3 guard violation.
 """
 
 from __future__ import annotations
@@ -55,48 +58,34 @@ from .policies import (
 )
 from .verify import run_all
 
+_EPSILON = repr(math.exp(-1.0))
+
+# the keys each scenario reads, in flag order, with their defaults
 _DEFAULTS: dict[str, dict[str, str]] = {
     "eval-offline": {
-        "N": "50",
-        "mu": "0.5",
-        "rho0": "0.5",
-        "policy": "false,true,ratio",
-        "q": "0.5",
-        "out": "eval_offline.csv",
+        "N": "50", "mu": "0.5", "rho0": "0.5", "epsilon": _EPSILON, "seed": "1729",
+        "out": "eval_offline.csv", "svg": "false",
+        "policy": "false,true,ratio", "q": "0.5", "max_denominator": "20",
     },
     "solve-online": {
-        "N": "100",
-        "mu": "0.5",
-        "rho0": "0.5",
-        "trials": "0",
-        "out": "solve_online.csv",
+        "N": "100", "mu": "0.5", "rho0": "0.5", "epsilon": _EPSILON, "trials": "0",
+        "seed": "1729", "out": "solve_online.csv", "svg": "false",
     },
     "compare": {
         "N": ",".join(str(n) for n in range(10, 201, 10)),
-        "mu": "0.5",
-        "rho0": "0.5",
-        "offline_opt_max_n": "14",
-        "out": "compare.csv",
+        "mu": "0.5", "rho0": "0.5", "epsilon": _EPSILON, "seed": "1729",
+        "out": "compare.csv", "svg": "false", "offline_opt_max_n": "14", "max_denominator": "20",
     },
     "multi-expert": {
-        "N": "5,10,15,20,25,30,35,40",
-        "accuracies": "0.5,0.5,0.5,0.5",
-        "weights": "1,1,1,1,1",
-        "trials": "100",
-        "exact_dp_max_n": "12",
-        "out": "multi_expert.csv",
+        "N": "5,10,15,20,25,30,35,40", "epsilon": _EPSILON, "trials": "100", "seed": "1729",
+        "out": "multi_expert.csv", "svg": "false",
+        "accuracies": "0.5,0.5,0.5,0.5", "weights": "1,1,1,1,1", "exact_dp_max_n": "12",
     },
-    "verify": {"out": ""},
+    # the checks of verify fix their own seeds, but its CSV header writes this one
+    "verify": {"seed": "1729", "out": ""},
 }
 
 SCENARIOS = tuple(_DEFAULTS)
-
-_COMMON = {
-    "epsilon": repr(math.exp(-1.0)),
-    "seed": "1729",
-    "svg": "false",
-    "max_denominator": "20",
-}
 
 _NAMED_POLICIES = ("false", "true", "ratio", "random")
 
@@ -171,8 +160,8 @@ def _key(key: str, parse, text: str, empty=list):
 
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration for one scenario run; a key the scenario neither
-    defaults nor receives leaves its field empty, and the scenario never reads it."""
+    """Resolved configuration for one scenario run; the fields of keys the
+    scenario does not own (see ``_DEFAULTS``) stay empty and it never reads them."""
 
     scenario: str
     horizons: list[int] = _key("N", _ints, "comma list of horizons")
@@ -219,10 +208,10 @@ _KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["help"])
 def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[str, str]) -> ExperimentConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    merged = dict(_COMMON)
-    merged.update(_DEFAULTS[scenario])
-    merged.update(file_values)
-    merged.update({k: v for k, v in cli_values.items() if v is not None})
+    # one config file serves every scenario: each takes only its own keys
+    merged = dict(_DEFAULTS[scenario])
+    merged.update((k, v) for k, v in file_values.items() if k in merged)
+    merged.update((k, v) for k, v in cli_values.items() if k in merged and v is not None)
 
     # out/svg route the results but do not affect them; keeping them out of
     # the hash lets identical experiments match across destinations
@@ -252,7 +241,7 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
         raise ConfigError(f"multi-expert needs trials >= 1, got {cfg.trials}")
     if not 0 <= cfg.seed < 2**128:
         raise ConfigError(f"seed must be in [0, 2**128), got {cfg.seed}")
-    if cfg.max_denominator < 1:
+    if "max_denominator" in merged and cfg.max_denominator < 1:
         raise ConfigError(f"max_denominator must be at least 1, got {cfg.max_denominator}")
     return cfg
 
@@ -455,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(scenario)
         sp.add_argument("--config", help="INI-style key=value file")
         for key, (_, _, text) in _KEYS.items():
-            # a bare --svg means --svg true
-            bare = {"nargs": "?", "const": "true"} if key == "svg" else {}
-            sp.add_argument(f"--{key}", help=text, **bare)
+            if key in _DEFAULTS[scenario]:
+                # a bare --svg means --svg true
+                bare = {"nargs": "?", "const": "true"} if key == "svg" else {}
+                sp.add_argument(f"--{key}", help=text, **bare)
     return parser
 
 
@@ -465,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        cfg = resolve_config(args.scenario, file_values, {key: getattr(args, key) for key in _KEYS})
+        cfg = resolve_config(args.scenario, file_values, vars(args))
         if cfg.scenario == "verify":
             return run_verify(cfg)
         _write(cfg, *_RUNNERS[cfg.scenario](cfg))

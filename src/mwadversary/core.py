@@ -219,7 +219,7 @@ def mw_step(
 
 @dataclass(frozen=True)
 class BinomialDist:
-    """Exact binomial pmf and its tail probabilities."""
+    """Binomial pmf (see :func:`binomial`) and its tail probabilities."""
 
     trials: int
     pmf: np.ndarray
@@ -235,11 +235,16 @@ class BinomialDist:
 
 
 def binomial(trials: int, p: float) -> BinomialDist:
-    """Exact Binomial(trials, p) pmf via the multiplicative recurrence
+    """Binomial(trials, p) pmf via the multiplicative recurrence
     pmf(i+1) = pmf(i) * (n-i)/(i+1) * p/(1-p).
 
     The recurrence is anchored at the mode when the usual start value
-    (1-p)**n would underflow, so very long horizons stay usable.
+    (1-p)**n would underflow, so very long horizons stay usable.  The
+    ``lgamma`` anchor's rounding scales that whole law (without the division
+    |sum - 1| reaches 4.6e-12 at n = 8000), so an anchored pmf is divided by
+    its sum.  The pmf is still not exact: the recurrence's own rounding bends
+    its shape, by 4.3e-15 in L1 from the exact law of the same float p at
+    n = 8000, p = 0.3.
     """
     if not _is_count(trials):
         raise ValueError(f"trials must be a nonnegative integer, got {trials}")
@@ -275,4 +280,5 @@ def binomial(trials: int, p: float) -> BinomialDist:
     if anchor > 0:
         i = np.arange(anchor, 0, -1)
         pmf[anchor - 1 :: -1] = pmf[anchor] * np.cumprod(i / ((n - i + 1.0) * r))
+        pmf /= pmf.sum()  # anchor > 0 only in the lgamma-anchored branch
     return BinomialDist(n, pmf)

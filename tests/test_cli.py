@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,8 +66,9 @@ class TestConfig:
         assert not (tmp_path / "x.csv").exists()
 
     def test_section_header_is_a_config_error(self, tmp_path, capsys):
-        """The file is flat: a header would suggest its keys apply to one
-        scenario only, while every scenario would read them."""
+        """The file is flat and shared by every scenario: a header would
+        suggest its keys apply to one scenario only, while every scenario
+        that owns a key reads it."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[solve-online]\nN = 8\ntrials = 5\n")
         out = tmp_path / "x.csv"
@@ -80,6 +82,19 @@ class TestConfig:
         cfg.write_text("just words\n")
         with pytest.raises(ConfigError):
             parse_config_file(str(cfg))
+
+    @pytest.mark.parametrize("line", ["policy = false", "max_denominator = 0",
+                                      "offline_opt_max_n = 3"])
+    def test_keys_of_other_scenarios_in_the_file_are_left_alone(self, tmp_path, line):
+        """solve-online neither checks nor hashes a key it does not own, so
+        the shared file writes the CSV the file without that line writes."""
+        shared, alone = tmp_path / "shared.cfg", tmp_path / "alone.cfg"
+        shared.write_text(f"N = 5\n{line}\n")
+        alone.write_text("N = 5\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["solve-online", "--config", str(shared), "--out", str(a)]) == 0
+        assert main(["solve-online", "--config", str(alone), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_cli_overrides_file_overrides_default(self):
         cfg = resolve_config("compare", {"N": "4", "seed": "5"}, {"seed": "6"})
@@ -402,11 +417,26 @@ class TestConfigRejections:
         ["multi-expert", "--trials", "0"],
         ["multi-expert", "--trials", "-2"],
         ["solve-online", "--N", "5", "--trials", "-3"],
-        ["compare", "--N", "4", "--trials", "-1"],
     ])
     def test_bad_trials_is_a_config_error(self, tmp_path, argv):
         out = tmp_path / "t.csv"
         assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-online", "--N", "5", "--policy", "false"],
+        ["compare", "--N", "4", "--trials", "-1"],
+        ["eval-offline", "--N", "4", "--accuracies", "0.3"],
+        ["multi-expert", "--N", "4", "--max_denominator", "3"],
+        ["verify", "--epsilon", "0.5"],
+    ])
+    def test_flag_of_a_key_the_scenario_does_not_read_is_an_error(self, tmp_path, capsys, argv):
+        """A flag the scenario would ignore is refused before anything runs."""
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["eval-offline", "solve-online", "compare", "multi-expert"])
@@ -416,12 +446,16 @@ class TestConfigRejections:
         assert main([scenario, "--N", horizons, "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["epsilon", "trials", "seed", "q", "offline_opt_max_n",
-                                     "exact_dp_max_n", "max_denominator"])
+    @pytest.mark.parametrize("scenario, key", [
+        ("compare", "epsilon"), ("solve-online", "trials"), ("compare", "seed"),
+        ("eval-offline", "q"), ("compare", "offline_opt_max_n"), ("multi-expert", "exact_dp_max_n"),
+        ("compare", "max_denominator"),
+    ], ids=["epsilon", "trials", "seed", "q", "offline_opt_max_n", "exact_dp_max_n",
+            "max_denominator"])
     @pytest.mark.parametrize("value", ["", ",", "1,2"])
-    def test_scalar_key_takes_exactly_one_value(self, tmp_path, capsys, key, value):
+    def test_scalar_key_takes_exactly_one_value(self, tmp_path, capsys, scenario, key, value):
         out = tmp_path / "s.csv"
-        assert main(["compare", "--N", "4", f"--{key}", value, "--out", str(out)]) == 2
+        assert main([scenario, "--N", "4", f"--{key}", value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid config:")
         assert not out.exists()
 
@@ -548,15 +582,72 @@ _FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("scenario", ["eval-offline", "solve-online", "compare", "multi-expert",
-                                      "verify"])
-def test_flags_keep_their_order_and_help(scenario):
-    """Every scenario takes -h, then --config and one flag per config key,
-    in this order and with this help text (argparse's layout is not pinned)."""
+_SCENARIO_KEYS = {
+    "eval-offline": ["N", "mu", "rho0", "epsilon", "seed", "out", "svg", "policy", "q",
+                     "max_denominator"],
+    "solve-online": ["N", "mu", "rho0", "epsilon", "trials", "seed", "out", "svg"],
+    "compare": ["N", "mu", "rho0", "epsilon", "seed", "out", "svg", "offline_opt_max_n",
+                "max_denominator"],
+    "multi-expert": ["N", "epsilon", "trials", "seed", "out", "svg", "accuracies", "weights",
+                     "exact_dp_max_n"],
+    "verify": ["seed", "out"],
+}
+
+
+def _scenario_actions(scenario):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    actions = sub.choices[scenario]._actions
+    return sub.choices[scenario]._actions
+
+
+@pytest.mark.parametrize("scenario", list(_SCENARIO_KEYS))
+def test_flags_keep_their_order_and_help(scenario):
+    """Every scenario takes -h, then --config and one flag per key it reads,
+    in this order and with this help text (argparse's layout is not pinned)."""
+    actions = _scenario_actions(scenario)
     assert actions[0].option_strings == ["-h", "--help"]
-    assert [(a.option_strings[-1], a.help) for a in actions[1:]] == _FLAGS
+    keys = ["config", *_SCENARIO_KEYS[scenario]]
+    assert [(a.option_strings[-1], a.help) for a in actions[1:]] == [
+        (flag, text) for flag, text in _FLAGS if flag[2:] in keys]
+
+
+# a small run of each scenario, and one value per key that differs from
+# every base run's (mu 0.3 at N = 6 is where max_denominator 1 moves the
+# ratio policy)
+_KEY_READ_BASE = {
+    "eval-offline": ["--N", "6", "--mu", "0.3", "--policy", "random,ratio"],
+    "solve-online": ["--N", "6", "--trials", "5"],
+    "compare": ["--N", "4,6", "--mu", "0.3"],
+    "multi-expert": ["--N", "4,6", "--trials", "5", "--exact_dp_max_n", "4"],
+    "verify": [],
+}
+_OTHER_VALUE = {
+    "N": "7", "mu": "0.4", "rho0": "0.3", "epsilon": "0.5", "trials": "6", "seed": "5",
+    "policy": "random,false", "q": "0.2", "accuracies": "0.3,0.5,0.5,0.5",
+    "weights": "2,1,1,1,1", "offline_opt_max_n": "4", "exact_dp_max_n": "6",
+    "max_denominator": "1",
+}
+
+
+def _without_hash(path):
+    return re.sub(r"config_sha256=\w+", "", path.read_text())
+
+
+@pytest.mark.parametrize("scenario", list(_KEY_READ_BASE))
+def test_every_accepted_key_is_read(tmp_path, capsys, scenario):
+    """Each key a scenario takes, other than out and svg, changes its CSV
+    outside the config_sha256 field: a key that moved only the hash would
+    keep identical experiments from matching."""
+    keys = [a.option_strings[-1][2:] for a in _scenario_actions(scenario)[2:]]
+    base = tmp_path / "base.csv"
+    assert main([scenario, *_KEY_READ_BASE[scenario], "--out", str(base)]) == 0
+    unread = []
+    for key in (k for k in keys if k not in ("out", "svg")):
+        out = tmp_path / f"{key}.csv"
+        argv = [scenario, *_KEY_READ_BASE[scenario], f"--{key}", _OTHER_VALUE[key]]
+        assert main(argv + ["--out", str(out)]) == 0, key
+        if _without_hash(out) == _without_hash(base):
+            unread.append(key)
+    assert unread == []
 
 
 def test_benchmark_layer_metrics_name_public_functions():

@@ -328,6 +328,24 @@ class TestBinomial:
         assert abs(d.pmf.sum() - 1.0) <= 1e-12
         assert d.pmf[1000] == max(d.pmf)
 
+    @pytest.mark.parametrize("n, p", [(1000, 0.7), (2000, 0.3), (2000, 0.5), (2000, 0.7),
+                                      (8000, 0.3), (8000, 0.5), (8000, 0.7)])
+    def test_anchored_law_sums_to_one(self, n, p):
+        """The lgamma anchor's rounding scaled these laws by up to 5e-12."""
+        assert n * math.log1p(-p) <= -700  # (1-p)**n underflows: the anchored branch
+        assert abs(binomial(n, p).pmf.sum() - 1.0) <= 4 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("n, p", [(2000, 0.3), (2000, 0.7), (8000, 0.5)])
+    def test_anchored_law_matches_the_exact_law(self, n, p):
+        """Against the law of the float p itself, C(n, k) a^k (b-a)^(n-k) / b^n
+        for p = a/b, each entry rounded once from exact integers."""
+        a, b = p.as_integer_ratio()
+        term, scale, exact = (b - a) ** n, b**n, []
+        for k in range(n + 1):
+            exact.append(term / scale)
+            term = term * (n - k) * a // ((k + 1) * (b - a))
+        assert math.fsum(np.abs(binomial(n, p).pmf - exact)) <= 5e-15
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             binomial(-1, 0.5)

@@ -114,6 +114,16 @@ class TestValueTrue:
         p = params(horizon=1, loss=lambda y: y * y)
         assert value_true(1, 0.5, p) == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+    def test_long_run_reaches_its_series(self, mu):
+        """At eps = 1/e the honest expert's (i+1)-th mistake costs its weight
+        share 1/(1 + e^i) against an adversary that never lies, and in 2000
+        stages it makes far more mistakes than the series needs, whatever mu.
+        Its mistake counts follow lgamma-anchored laws."""
+        want = math.fsum(1.0 / (1.0 + math.exp(i)) for i in range(60))
+        assert want == 0.9641635157612597
+        assert value_true(2000, 0.5, params(mu, 2000)) == pytest.approx(want, rel=2e-15, abs=0.0)
+
 
 class TestOffsetDistribution:
     def test_point_mass(self):
@@ -231,7 +241,11 @@ TABLE_LOSSES = [
 
 
 class TestOffsetLossTable:
-    """Straight runs read off the per-offset loss table equal the grid form bit for bit."""
+    """Straight runs read off the per-offset loss table match the grid form:
+    bit for bit on the cases pinned here, and to 1e-15 relative elsewhere.
+    A run of 2-10 stages can differ in the last bit, as numpy's correlate
+    sums kernels of up to 11 entries in a plain loop and the grid's dot
+    product does not."""
 
     @pytest.mark.parametrize("loss", TABLE_LOSSES)
     @pytest.mark.parametrize("mu,rho", [(0.3, 0.2), (0.7, 0.85)])
@@ -253,6 +267,24 @@ class TestOffsetLossTable:
     def test_block_policy(self, loss, blocks):
         p = params(mu=0.62, horizon=40, rho0=0.3, loss=loss)
         assert value_block_policy(BlockForm(blocks), p) == grid_block_value(blocks, p)
+
+    @pytest.mark.parametrize("loss", TABLE_LOSSES)
+    def test_seeded_random_grid(self, loss):
+        rng = np.random.default_rng(1729)
+        for _ in range(25):
+            horizon = int(rng.integers(1, 60))
+            mu, rho, epsilon = rng.uniform(0.05, 0.95, 3)
+            p = params(mu, horizon, rho, epsilon, loss)
+            for n in range(horizon + 1):
+                assert value_false(n, rho, p) == pytest.approx(
+                    n * (1.0 - mu) * p.q(1.0) + float(grid_run(n, True, 0, rho, p)),
+                    rel=1e-15, abs=0.0)
+                assert value_true(n, rho, p) == pytest.approx(
+                    n * mu * p.q(0.0) + float(grid_run(n, False, 0, rho, p)),
+                    rel=1e-15, abs=0.0)
+            blocks = block_form(random_policy(horizon, rng.uniform(0.2, 0.8), 7)).blocks
+            assert value_block_policy(BlockForm(blocks), p) == pytest.approx(
+                grid_block_value(blocks, p), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n,lie,start", [
         (3, True, [-1, 0]),  # 0 + 3 passes N = 2
