@@ -14,6 +14,11 @@ Both hot loops cost a few whole-stage numpy calls per stage: the backward
 pass takes one ``mu * v`` product and two sums per action, and the Monte
 Carlo replay of a policy moves every trial one stage and adds that stage's
 loss, so each trial sums its losses in stage order.
+Both Monte Carlo harnesses draw each honest outcome from one random byte
+(``_honest_outcomes``): P(correct) = mu exactly, a trial's outcomes do not
+depend on how many trials follow it, and the few bytes that tie with 256 mu
+take one uniform each, in row-major cell order.  The replay keeps them
+stage-major, one bit per (trial, stage).
 Also here: the exact K-expert model on a mistake-count grid (one two-point
 average per honest expert, along its axis), a clairvoyant solver that takes
 a block of realizations in one pass with its Monte Carlo harness, and the
@@ -53,7 +58,10 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
-_TRIAL_CHUNK = 250  # trials per block of draws in simulate_online and monte_carlo_k_expert
+# trials per block of honest outcomes (one random byte per cell, exact P = mu, tie
+# uniforms in row-major order); a multiple of 8, so a packed block is whole bytes,
+# and no outcome depends on it or on the trials after its own
+_TRIAL_CHUNK = 256
 _K_EXPERT_MAX_K = 5
 _K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
@@ -169,7 +177,10 @@ def optimal_value(params: ModelParams) -> float:
 @dataclass(frozen=True)
 class MCResult:
     """Monte Carlo summary with every trial's loss, reproducible from (seed,
-    trials, params); ``stderr`` is NaN for a single trial."""
+    trials, params); ``stderr`` is NaN for a single trial.  Each honest
+    outcome costs one random byte and is correct with probability exactly
+    mu, and ``per_trial[:t]`` is the same for every trial count >= t (see
+    ``_honest_outcomes``)."""
 
     trials: int
     mean: float
@@ -178,10 +189,47 @@ class MCResult:
     per_trial: np.ndarray = field(compare=False, repr=False)
 
 
-def _philox(seed: int) -> np.random.Generator:
-    # counter-based generator: trial t's draws are row t of one keyed block,
-    # so results do not depend on evaluation order and rows can be farmed out
-    return np.random.Generator(np.random.Philox(key=seed))
+def _byte_split(mu) -> tuple[np.ndarray, np.ndarray]:
+    """256 mu split into its whole part m and fraction r; both are exact in
+    float, and m / 256 + r / 256 == mu."""
+    scaled = 256.0 * np.asarray(mu, dtype=float)
+    m = np.floor(scaled)
+    return m, scaled - m
+
+
+def _honest_outcomes(seed: int, mu: np.ndarray, trials: int) -> Iterator[np.ndarray]:
+    """Blocks of ``_TRIAL_CHUNK`` trials of i.i.d. honest outcomes, one row
+    per trial, cell c correct with probability ``mu[c]``.
+
+    Each cell costs one random byte b of ``Philox(key=seed).random_raw``,
+    read little-endian within each word: trial t's cells are the first
+    bytes of its own ceil(cells / 8) words.  With 256 mu = m + r (m whole,
+    0 <= r < 1) the cell is correct iff b < m, or b == m and a uniform
+    U < r; the uniforms come from ``Philox(key=seed).jumped()`` in
+    row-major cell order, and none is drawn where r == 0 (so none at
+    mu = 1/2).  P(correct) = m/256 + r/256 = mu exactly whenever r is a
+    multiple of 2**-53 (every mu >= 2**-9); below that, U < r rounds r up
+    to a multiple of 2**-53, an error under 2**-61 in P.  So a trial's
+    outcomes depend on neither the block size nor the trials after it.
+    """
+    cells = mu.size
+    words = -(-cells // 8)
+    m, r = _byte_split(mu)
+    m = m.astype(np.uint8)
+    tied = r > 0.0
+    bits = np.random.Philox(key=seed)
+    ties = np.random.Generator(np.random.Philox(key=seed).jumped()) if tied.any() else None
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        rows = min(_TRIAL_CHUNK, trials - lo)
+        b = (bits.random_raw(rows * words).astype("<u8", copy=False).view(np.uint8)
+             .reshape(rows, 8 * words)[:, :cells])
+        correct = b < m
+        if ties is not None:
+            tie = b == m
+            tie &= tied
+            at = np.flatnonzero(tie)  # row-major
+            correct.flat[at] = ties.random(at.size) < r[at % cells]
+        yield correct
 
 
 def _mc_summary(losses: np.ndarray, trials: int, seed: int) -> MCResult:
@@ -198,21 +246,27 @@ def simulate_online(
     stage's prediction error; the empirical mean loss converges to the
     policy's root value.
 
-    A stage's loss is row 4i + lie + 2 * correct of one flat table, at
-    offset index i: Q(1 - rho_j), Q(1), Q(0) or Q(rho_j).  Each stage
-    gathers every trial's action and loss, adds the loss and moves the
-    trial, so every trial sums its losses in stage order.
+    Trial t's N outcomes are cells 0..N-1 of its row of
+    ``_honest_outcomes``: one random byte each, correct with probability
+    exactly mu, the bytes that tie with 256 mu taking one uniform each in
+    row-major order, so the first t trials do not depend on ``trials``.
+    They are kept stage-major, eight trials to a byte (N x trials / 8
+    bytes).  A stage's loss is row 4i + lie + 2 * correct of one flat
+    table, at offset index i: Q(1 - rho_j), Q(1), Q(0) or Q(rho_j).  Each
+    stage unpacks its outcomes, gathers every trial's action and loss, adds
+    the loss and moves the trial, so every trial sums its losses in stage
+    order.
     """
     if policy.params != params:
         raise ValueError("policy was solved for different parameters")
     trials = _positive_int("trials", trials)
     n = params.horizon
-    rng = _philox(seed)
-    # trial t's draws are row t of the seeded stream, stored stage-major as 2 * correct
-    correct = np.empty((n, trials), dtype=np.uint8)
-    for block in np.split(correct, range(_TRIAL_CHUNK, trials, _TRIAL_CHUNK), axis=1):
-        block[:] = (rng.random(block.shape[::-1]) < params.mu).T
-    correct *= 2
+    # outcomes stored stage-major, eight trials to a byte
+    outcomes = np.empty((n, -(-trials // 8)), dtype=np.uint8)
+    blocks = _honest_outcomes(seed, np.full(n, params.mu), trials)
+    for lo, correct in zip(range(0, trials, _TRIAL_CHUNK), blocks):
+        packed = np.packbits(correct, axis=0).T
+        outcomes[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
     q_lie, q_truth = _offset_losses(params, params.rho0)
     table = np.stack([q_truth, np.full_like(q_truth, params.q(1.0)),
                       np.full_like(q_truth, params.q(0.0)), q_lie], axis=1).ravel()
@@ -222,7 +276,8 @@ def simulate_online(
     pos = np.zeros(trials, dtype=np.intp)
     loss = np.zeros(trials)
     for k in range(n):
-        code = policy.lie_optimal[k].view(np.uint8).take(pos) + correct[k]
+        code = policy.lie_optimal[k].view(np.uint8).take(pos)
+        code += 2 * np.unpackbits(outcomes[k], count=trials)
         loss += table.take(4 * (pos + (n - k)) + code)  # i = pos + n - k
         pos += step.take(code)
     return _mc_summary(loss, trials, seed)
@@ -367,16 +422,21 @@ def monte_carlo_k_expert(params: KExpertParams, trials: int, seed: int) -> MCRes
     sample honest realizations and let the adversary optimize against each
     known sequence (an upper bound on the online value that
     :func:`solve_k_expert` computes exactly).  Deterministic given the seed.
+
+    Trial t's realization is its row of ``_honest_outcomes`` over (K-1) x N
+    cells in row-major order: one random byte per cell, correct with
+    probability exactly that expert's accuracy, the tied bytes taking one
+    uniform each in row-major order; the first t trials do not depend on
+    ``trials``.
     """
     trials = _positive_int("trials", trials)
     honest = params.n_experts - 1
     n = params.horizon
-    mus = np.array(params.accuracies).reshape(1, honest, 1)
-    rng = _philox(seed)
-    # trial t's draws are row t of the seeded stream, drawn and solved in blocks
+    # trial t's cells are its (K-1) x N realization in row-major order
+    mus = np.repeat(params.accuracies, n)
     losses = np.concatenate([
-        clairvoyant_values((rng.random((rows, honest, n)) < mus).astype(int), params)
-        for rows in (min(_TRIAL_CHUNK, trials - lo) for lo in range(0, trials, _TRIAL_CHUNK))
+        clairvoyant_values(correct.reshape(-1, honest, n).astype(int), params)
+        for correct in _honest_outcomes(seed, mus, trials)
     ])
     return _mc_summary(losses, trials, seed)
 

@@ -31,7 +31,7 @@ from mwadversary import (
 )
 from mwadversary.core import GuardError
 from mwadversary.exact_eval import _stage_costs
-from mwadversary.online_dp import _backward, _philox
+from mwadversary.online_dp import _backward, _byte_split, _honest_outcomes
 from mwadversary.verify import expectimax_value
 
 E = math.e
@@ -205,11 +205,36 @@ class TestSimulateOnline:
         assert np.array_equal(a.per_trial, b.per_trial)
 
 
+def _decoded_outcomes(seed, mus, trials):
+    """Plain-Python decoding of the honest outcomes of ``trials`` trials,
+    cell c of a trial correct with probability mus[c]: trial t's cells are
+    the first bytes, little-endian, of its own ceil(cells / 8) words of
+    ``Philox(key=seed).random_raw``; with 256 mu = m + r, byte b is correct
+    iff b < m, or b == m and U < r, U = (x >> 11) / 2**53 for the next word
+    x of ``Philox(key=seed).jumped()`` (no word taken where r == 0)."""
+    cells = len(mus)
+    words = -(-cells // 8)
+    raw = np.random.Philox(key=seed).random_raw(trials * words).tolist()
+    tie_words = np.random.Philox(key=seed).jumped()
+    split = [(math.floor(256 * mu), 256 * mu - math.floor(256 * mu)) for mu in mus]
+    out = []
+    for t in range(trials):
+        row = b"".join(w.to_bytes(8, "little") for w in raw[t * words:(t + 1) * words])
+        trial = []
+        for b, (m, r) in zip(row, split):  # the first `cells` bytes
+            if b == m and r > 0:
+                trial.append((tie_words.random_raw() >> 11) / 2**53 < r)
+            else:
+                trial.append(b < m)
+        out.append(trial)
+    return np.array(out, dtype=bool)
+
+
 def _row_major_simulation(p, table, trials, seed):
-    """Reference play of a table: every trial's draws in one (trials, N)
-    block of the seeded stream, read column by column."""
+    """Reference play of a table: every trial's outcomes decoded at once,
+    read column by column."""
     n = p.horizon
-    correct = np.random.Generator(np.random.Philox(key=seed)).random((trials, n)) < p.mu
+    correct = _decoded_outcomes(seed, [p.mu] * n, trials)
     rho_all = weight_power(np.arange(-n, n + 1), p.rho0, p)
     j = np.zeros(trials, dtype=np.int64)
     loss = np.zeros(trials)
@@ -220,6 +245,61 @@ def _row_major_simulation(p, table, trials, seed):
         loss += p.q_vec(np.where(lie, np.where(c, rho, 1.0), np.where(c, 0.0, 1.0 - rho)))
         j = j + np.where(lie & c, 1, 0) - np.where(~lie & ~c, 1, 0)
     return loss
+
+
+class TestHonestOutcomes:
+    @pytest.mark.parametrize("mu", [0.5, 0.3, 1 / 3, 0.999, 2**-10, 1 - 2**-53])
+    def test_byte_split_is_exact(self, mu):
+        m, r = _byte_split(mu)
+        assert m == math.floor(256 * mu) and 0.0 <= r < 1.0
+        assert m / 256 + r / 256 == mu
+
+    def test_half_draws_no_tie_uniform(self, monkeypatch):
+        """At mu = 1/2, 256 mu is whole: every cell is its byte below 128 and
+        the tie stream is never opened."""
+
+        class NoJump(np.random.Philox):
+            def jumped(self, *args, **kwargs):
+                raise AssertionError("a tie uniform was drawn")
+
+        raw = np.random.Philox(key=3).random_raw(300 * 2).astype("<u8").view(np.uint8)
+        p = params(horizon=13)
+        policy = optimal_policy(p)
+        monkeypatch.setattr(np.random, "Philox", NoJump)
+        with pytest.raises(AssertionError, match="tie uniform"):
+            next(_honest_outcomes(3, np.full(13, 0.3), 1))
+        got = np.concatenate(list(_honest_outcomes(3, np.full(13, 0.5), 300)))
+        assert np.array_equal(got, raw.reshape(300, 16)[:, :13] < 128)
+        simulate_online(p, policy, 300, 3)
+
+    @pytest.mark.parametrize("trials", [1, 7, 9, 255, 257])
+    def test_trials_are_a_prefix(self, trials):
+        """The first t trials are the same whatever number follows them."""
+        p = params(mu=0.3, horizon=11, rho0=0.2)
+        policy = optimal_policy(p)
+        sim = simulate_online(p, policy, trials, 5).per_trial
+        assert np.array_equal(sim, simulate_online(p, policy, 777, 5).per_trial[:trials])
+        kp = KExpertParams(epsilon=0.4, horizon=6, accuracies=(0.3, 0.5, 0.9),
+                           initial_weights=(1.0, 2.0, 0.5, 1.5))
+        mc = monte_carlo_k_expert(kp, trials, 5).per_trial
+        assert np.array_equal(mc, monte_carlo_k_expert(kp, 777, 5).per_trial[:trials])
+
+    @pytest.mark.parametrize("mu", [0.3, 0.999])
+    def test_frequency_within_five_sigma(self, mu):
+        trials, cells = 2**10, 2**12
+        hits = sum(int(np.count_nonzero(c)) for c in _honest_outcomes(17, np.full(cells, mu), trials))
+        n = trials * cells
+        assert abs(hits / n - mu) <= 5 * math.sqrt(mu * (1 - mu) / n)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+    def test_simulated_mean_near_online_value(self, mu, seed):
+        """The benchmark's correctness gate on its long run, at a quarter of
+        its horizon and at every accuracy, the tied bytes included."""
+        p = params(mu=mu, horizon=2000)
+        policy = optimal_policy(p)
+        res = simulate_online(p, policy, 2000, seed)
+        assert abs(res.mean - policy.root_value) <= 5 * res.stderr
 
 
 class TestOptimalPolicy:
@@ -247,11 +327,11 @@ class TestOptimalPolicy:
         pytest.param(0.5, 0.3, math.sqrt, id="0.5-0.3-math.sqrt"),  # scalar-only loss
     ])
     @pytest.mark.parametrize("n", [1, 7, 60, 15, 16, 17, 33])
-    @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 777])
     def test_simulation_bit_identical(self, mu, rho0, loss, n, trials):
         """Lean record and table play the same per-trial losses, equal to a
-        row-major play of the whole draw block at once, on both sides of
-        every edge of the blocks of draws (trials)."""
+        row-major play of every trial's decoded outcomes at once, on both
+        sides of every edge of the blocks of draws (trials)."""
         p = params(mu=mu, horizon=n, rho0=rho0, loss=loss)
         table = solve_two_expert(p)
         lean = simulate_online(p, optimal_policy(p), trials, seed=1729)
@@ -433,11 +513,12 @@ class TestClairvoyantValues:
         for value, r in zip(got, realized):
             assert value == pytest.approx(replayed_clairvoyant_value(r, kp), rel=1e-12)
 
-    @pytest.mark.parametrize("trials", [1, 249, 250, 251, 777])
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 777])
     def test_monte_carlo_blocks_equal_one_draw(self, trials):
         kp = KExpertParams(epsilon=1 / E, horizon=9, accuracies=(0.5, 0.7, 0.3),
                            initial_weights=(1.0,) * 4)
-        draws = (_philox(11).random((trials, 3, 9)) < np.array([0.5, 0.7, 0.3])[:, None]).astype(int)
+        mus = [0.5] * 9 + [0.7] * 9 + [0.3] * 9
+        draws = _decoded_outcomes(11, mus, trials).reshape(trials, 3, 9).astype(int)
         want = [clairvoyant_value(d, kp) for d in draws]
         assert np.array_equal(monte_carlo_k_expert(kp, trials, 11).per_trial, want)
 
