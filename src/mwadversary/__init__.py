@@ -24,6 +24,7 @@ from .exact_eval import (
     mixed_policy_values,
     normal_cdf,
     offline_optimum,
+    offline_optimum_values,
     offset_distribution,
     policy_value,
     ratio_policy_values,

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .core import GuardError, ModelParams
 from .exact_eval import (
-    offline_optimum,
+    offline_optimum_values,
     policy_value,
     ratio_policy_values,
     two_honest_values,
@@ -344,10 +344,12 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
         # one backward pass, the no-adversary column, the no-information
-        # adjoint pass and one walk over the ratio policies' shared prefix
-        # pairs hold the values of every horizon
+        # adjoint pass, one ratio-pair walk and one offline forward pass (to
+        # the largest horizon within offline_opt_max_n) hold every horizon
         longest = _params(cfg, mu, rho0, max(cfg.horizons))
         online = optimal_values(longest)
+        opt_n = max((n for n in cfg.horizons if n <= cfg.offline_opt_max_n), default=0)
+        offline = offline_optimum_values(_params(cfg, mu, rho0, opt_n)) if opt_n else []
         no_adversary = two_honest_values(longest)
         no_info = no_information_values(longest)
         ratio_ns = [n for n in cfg.horizons if n >= 2]
@@ -358,7 +360,7 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
             v_f = value_false(n, rho0, params)
             v_t = value_true(n, rho0, params)
             v_ratio = ratio.get(n)
-            v_opt = offline_optimum(params)[1] if n <= cfg.offline_opt_max_n else None
+            v_opt = float(offline[n]) if n <= cfg.offline_opt_max_n else None
             v_on = float(online[n])
             lower = max(v for v in (v_f, v_ratio, v_opt) if v is not None)
             if v_on < lower - 1e-9:

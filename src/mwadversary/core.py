@@ -154,7 +154,8 @@ def weight_power(j, rho: float, params: ModelParams):
     """
     _check_rho(rho)
     z = -math.log(params.epsilon) * np.asarray(j, dtype=float)
-    w = 1.0 / (1.0 + (1.0 / rho - 1.0) * np.exp(np.minimum(z, _MAX_EXP)))
+    with np.errstate(over="ignore"):  # inf for rho < 5.5e-5: w = 0, the exact limit
+        w = 1.0 / (1.0 + (1.0 / rho - 1.0) * np.exp(np.minimum(z, _MAX_EXP)))
     return w if isinstance(j, np.ndarray) else float(w)
 
 

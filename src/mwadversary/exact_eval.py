@@ -11,17 +11,18 @@ distribution one stage at a time, which gives every prefix horizon in the
 same pass.  The no-adversary baseline needs no pass under the absolute
 loss: there the system's error is the weight-average of two experts that
 each err with probability 1 - mu whatever their weights, so its value is
-(1 - mu) per stage.  The optimal offline policy is a longest path over
-(stage, lies so far).  Two brute-force enumerators serve as independent
-oracles: over honest sample paths for the evaluators, and over entire
-policy trees for the optimum.  The module also provides numeric verifiers
-for the two analytic inequalities the normal-CDF approximation analysis
-rests on.
+(1 - mu) per stage.  The offline optimum of every horizon is one forward
+longest path over (stage, lies so far) whose stage costs obey a two-term
+recursion; only the block evaluator and offset_distribution build
+``binomial`` laws.  Brute-force enumerators of honest sample paths and of
+policy trees are the evaluators' and the optimum's oracles, and numeric
+verifiers check the two inequalities of the normal-CDF analysis.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "brute_force_value",
     "exhaustive_offline_optimum",
     "offline_optimum",
+    "offline_optimum_values",
     "log_telescoping_residuals",
     "berry_esseen_check",
     "mixed_policy_values",
@@ -302,27 +304,41 @@ def brute_force_value(policy: OfflinePolicy, params: ModelParams) -> float:
     return total
 
 
+def _offline_forward(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Forward longest path over (stage k, lies so far a): for k = 0..N-1, the
+    best loss of stages 0..k ending at each a = 0..k+1, and whether it came
+    by a lie (ties take the truth).  The offset is a - M_k, M_k ~ Bin(k, 1 -
+    mu), so an action costs D_k(a) = E[L(a - M_k)], L its column of
+    :func:`_stage_costs`; D_{k+1}(x) = D_k(x) + (1 - mu)(D_k(x - 1) - D_k(x))
+    keeps a constant D exact, which the kernel [1 - mu, mu] would not."""
+    n, mu, best = params.horizon, params.mu, np.zeros(1)
+    d = np.stack(_stage_costs(params))[:, 1:-1]  # D_k of lie, truth on offsets k+1-N..N-1
+    for k in range(n):
+        both = best + d[:, n - 1 - k : n]  # a = 0..k
+        lie, truth = np.append(-np.inf, both[0]), np.append(both[1], -np.inf)
+        best = np.maximum(lie, truth)
+        yield best, lie > truth
+        d = d[:, 1:] + (1.0 - mu) * (d[:, :-1] - d[:, 1:])
+
+
 def offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, float]:
-    """Best offline policy and its value, as a longest path over (stage k,
-    lies so far a).  The offset is then a - M_k with M_k ~ Bin(k, 1 - mu)
-    whatever the order of the lies, so stage k's expected cost depends on
-    (k, a) and the action only: that binomial's pmf convolved with a window
-    of :func:`_stage_costs`.  Ties lie, so the text read off from a = 0 is
-    the earliest-lie optimum, as in :func:`exhaustive_offline_optimum`."""
-    n = params.horizon
-    lie_costs, truth_costs = _stage_costs(params)
-    value, lies = np.zeros(n + 1), []
-    for k in range(n - 1, -1, -1):
-        pmf, window = binomial(k, 1.0 - params.mu).pmf, slice(n - k, n + k + 1)
-        lie = np.convolve(lie_costs[window], pmf, "valid") + value[1 : k + 2]
-        truth = np.convolve(truth_costs[window], pmf, "valid") + value[: k + 1]
-        lies.append(lie >= truth)
-        value = np.maximum(lie, truth)
-    text, a = "", 0
-    for row in reversed(lies):
-        text += "F" if row[a] else "T"
-        a += int(row[a])
-    return OfflinePolicy(text), float(value[0])
+    """Best offline policy and its value, traced back through the bits of
+    :func:`_offline_forward` from the largest final argmax a.  As ties take
+    the truth, a constant loss gives all lies; the text may differ from the
+    exhaustive search's where policies tie to rounding."""
+    rows = []
+    for best, by_lie in _offline_forward(params):
+        rows.append(by_lie)
+    a, lies = int(np.flatnonzero(best == best.max())[-1]), []
+    for row in reversed(rows):
+        lies.append(bool(row[a]))
+        a -= lies[-1]
+    return OfflinePolicy("".join("TF"[lie] for lie in reversed(lies))), float(best.max())
+
+
+def offline_optimum_values(params: ModelParams) -> np.ndarray:
+    """The optimum of every horizon 0..N, each bit for bit :func:`offline_optimum`'s."""
+    return np.array([0.0] + [best.max() for best, _ in _offline_forward(params)])
 
 
 def exhaustive_offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, float]:

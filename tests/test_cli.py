@@ -27,6 +27,7 @@ from mwadversary import (
     two_honest_value,
     verify,
 )
+from mwadversary import cli
 from mwadversary.cli import ConfigError, build_parser, main, parse_config_file, resolve_config
 from mwadversary.exact_eval import value_block_policy
 from mwadversary.output import fmt
@@ -226,6 +227,34 @@ def _run_module(*argv):
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-m", "mwadversary", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_tiny_initial_weight_writes_nothing_to_stderr(tmp_path):
+    """At rho0 = 1e-5 the weights of far offsets saturate to 0 with no
+    overflow warning."""
+    proc = _run_module("compare", "--N", "800", "--rho0", "1e-5",
+                       "--out", str(tmp_path / "cmp.csv"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_compare_makes_one_offline_pass_per_group_or_none(tmp_path, monkeypatch):
+    """The offline column costs one pass per (mu, rho0) group, at its largest
+    horizon within offline_opt_max_n, and none if no horizon qualifies."""
+    calls = []
+    real = cli.offline_optimum_values
+
+    def counted(params):
+        calls.append(params.horizon)
+        return real(params)
+
+    monkeypatch.setattr(cli, "offline_optimum_values", counted)
+    out = str(tmp_path / "cmp.csv")
+    assert main(["compare", "--N", "100,200", "--mu", "0.3,0.5", "--out", out]) == 0
+    assert calls == []
+    assert main(["compare", "--N", "4,8,12,30", "--mu", "0.3,0.7",
+                 "--offline_opt_max_n", "12", "--out", out]) == 0
+    assert calls == [12, 12]
 
 
 def test_python_m_mwadversary_version():

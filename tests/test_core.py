@@ -1,6 +1,7 @@
 """Weight-map, MW-update, and binomial utility tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mwadversary import (
     weight_update_g,
     weight_update_g_inv,
 )
+from mwadversary.core import _MAX_EXP
 
 E = math.e
 
@@ -188,6 +190,19 @@ class TestWeightPower:
         p = params()
         assert 0.0 <= weight_power(10**6, 0.5, p) <= 1e-200
         assert weight_power(-(10**6), 0.5, p) == pytest.approx(1.0, abs=1e-200)
+
+    @pytest.mark.parametrize("rho", [1e-5, 1e-300])
+    def test_tiny_weight_saturates_to_zero_without_warning(self, rho):
+        """(1/rho - 1) * e^700 overflows for such rho: the weight is then the
+        exact limit 0, and no overflow warning is raised."""
+        p = params()
+        j = np.arange(-800, 801)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = weight_power(j, rho, p)
+            assert weight_power(750, rho, p) == 0.0
+        assert np.all(w[-math.log(p.epsilon) * j >= _MAX_EXP] == 0.0)
+        assert np.all((w >= 0.0) & (w <= 1.0))
 
     def test_array_input(self):
         p = params()

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -24,6 +25,7 @@ from mwadversary import (
     mw_step,
     normal_cdf,
     offline_optimum,
+    offline_optimum_values,
     offset_distribution,
     policy_value,
     random_policy,
@@ -489,6 +491,7 @@ def test_lattice_matches_exhaustive_search_up_to_its_cap(mu):
     for rho0, eps, n in product((0.2, 0.5, 0.9), (1 / E, 0.6), range(1, 17)):
         p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps)
         pol, val = offline_optimum(p)
+        assert offline_optimum_values(p)[-1] == val
         assert val == pytest.approx(exhaustive_offline_optimum(p)[1], rel=1e-14, abs=0.0)
         assert policy_value(pol, p) == pytest.approx(val, rel=1e-12, abs=0.0)
 
@@ -498,6 +501,40 @@ def test_lattice_policy_value_at_a_long_horizon():
     pol, val = offline_optimum(p)
     assert policy_value(pol, p) == pytest.approx(val, rel=1e-12, abs=0.0)
     assert val >= value_false(2000, 0.5, p)
+
+
+@pytest.mark.parametrize("mu,rho0,eps,loss", [
+    *product((0.3, 0.5, 0.7), (0.2, 0.5), (1 / E, 0.6), [None]),
+    (0.62, 0.4, 1 / E, lambda y: y * y),
+])
+def test_every_horizon_from_one_offline_pass(mu, rho0, eps, loss):
+    p = params(mu=mu, horizon=60, rho0=rho0, epsilon=eps, loss=loss)
+    values = offline_optimum_values(p)
+    assert values[0] == 0.0
+    for r in range(1, 61):
+        assert values[r] == offline_optimum(replace(p, horizon=r))[1]
+
+
+def convolved_offline_optimum(p):
+    """The optimum as a backward pass that convolves stage k's costs with the
+    pmf of Bin(k, 1 - mu): the O(N^3) form the forward recursion replaced."""
+    n = p.horizon
+    lie_costs, truth_costs = exact_eval._stage_costs(p)
+    value = np.zeros(n + 1)
+    for k in range(n - 1, -1, -1):
+        pmf, window = binomial(k, 1.0 - p.mu).pmf, slice(n - k, n + k + 1)
+        lie = np.convolve(lie_costs[window], pmf, "valid") + value[1 : k + 2]
+        truth = np.convolve(truth_costs[window], pmf, "valid") + value[: k + 1]
+        value = np.maximum(lie, truth)
+    return float(value[0])
+
+
+def test_offline_recursion_does_not_drift_at_a_long_horizon():
+    """At mu < 1/2, fl(1 - mu) + mu != 1: a recursion that weights the two
+    neighbours by [1 - mu, mu] drifts 5.9e-14 from the convolution here."""
+    p = params(mu=0.3, horizon=2000, rho0=0.5)
+    reference = convolved_offline_optimum(p)
+    assert offline_optimum_values(p)[-1] == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 class TestRatioPolicyValues:
