@@ -14,6 +14,12 @@ Both hot loops cost a few whole-stage numpy calls per stage: the backward
 pass takes one ``mu * v`` product and two sums per action, and the Monte
 Carlo replay of a policy moves every trial one stage and adds that stage's
 loss, so each trial sums its losses in stage order.
+Past |j| of about 37 (eps = 1/e, rho0 = 1/2), rho_j rounds to 0 or 1 and
+both stage costs are exactly constant, so the backward pass evaluates only a
+window of each stage, about half of the N^2 states: every offset outside it
+holds its edge cell's value, lie and truth, as the same float expression on
+the same inputs (``_backward``); each reader expands the window to the full
+row.
 Both Monte Carlo harnesses draw each honest outcome from one random byte
 (``_honest_outcomes``): P(correct) = mu exactly, a trial's outcomes do not
 depend on how many trials follow it, and the few bytes that tie with 256 mu
@@ -67,27 +73,79 @@ _K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
 
 
-def _backward(params: ModelParams) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def _saturated_bounds(lie_costs: np.ndarray, truth_costs: np.ndarray) -> tuple[int, int]:
+    """Offsets lo0 <= 0 <= hi0 such that every offset <= lo0 has the stage
+    costs of offset -N and every offset >= hi0 those of offset N, both
+    arrays compared bit for bit (rho_j rounds to 1 or 0 out there)."""
+    n = lie_costs.size // 2
+    bits = np.stack([lie_costs, truth_costs]).view(np.int64)
+    left = np.flatnonzero((bits != bits[:, :1]).any(axis=0))
+    right = np.flatnonzero((bits != bits[:, -1:]).any(axis=0))
+    lo0 = int(left[0]) - 1 - n if left.size else n
+    hi0 = int(right[-1]) + 1 - n if right.size else -n
+    return min(lo0, 0), max(hi0, 0)
+
+
+def _backward(params: ModelParams) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """One backward pass at horizon N holding only the current stage (O(N)
-    memory): for k = N-1..0, stage k's optimal values and the expected
-    continuation loss of lying and of telling the truth.  A lie moves the
-    offset +1 with probability mu, a truth -1 with probability 1 - mu; the
-    loss Q enters only through the stage costs, never the transitions.
-    Every yielded array is new, so a caller may keep it.
+    memory): for k = N-1..0, ``(k, start, v, lie, truth)``, stage k's optimal
+    values and the expected continuation loss of lying and of telling the
+    truth on a window of its offsets -k..k, the first at index ``start`` of
+    the full row.  A lie moves the offset +1 with probability mu, a truth -1
+    with probability 1 - mu; the loss Q enters only through the stage costs,
+    never the transitions.  Every yielded array is new, so a caller may keep
+    it.
+
+    With r = N - k stages left the window is offsets max(-k, lo0 - r + 1) ..
+    min(k, hi0 + r - 1) (see :func:`_saturated_bounds`), and every offset
+    outside it holds the value, lie and truth of its edge cell (``_full_row``).
+    This is exact: a state past the edge meets only the constant costs of its
+    tail in its r stages, so by induction from the zero terminal stage it is
+    the same float expression on the same inputs as the edge cell.  The next
+    stage reads one or two cells past the window, filled with the edge cell;
+    a stage inside the full cone does the same numpy work as without a window.
     """
     n = params.horizon
     mu = params.mu
     lie_costs, truth_costs = _stage_costs(params)
-    v = np.zeros(2 * n + 1)
+    lo0, hi0 = _saturated_bounds(lie_costs, truth_costs)
+
+    def edges(k: int) -> tuple[int, int]:
+        return max(-k, lo0 - n + k + 1), min(k, hi0 + n - k - 1)
+
+    lo, hi = edges(n - 1)
+    v = np.zeros(hi - lo + 3)  # the terminal stage on offsets lo - 1..hi + 1
     for k in range(n - 1, -1, -1):
-        window = slice(n - k, n + k + 1)
+        window = slice(n + lo, n + hi + 1)
         up, down = mu * v, (1.0 - mu) * v
         lie = lie_costs[window] + up[2:]
         lie += down[1:-1]
         truth = truth_costs[window] + down[:-2]
         truth += up[1:-1]
-        v = np.maximum(lie, truth)
-        yield k, v, lie, truth
+        # stage k - 1 reads this stage on offsets next_lo - 1..next_hi + 1
+        next_lo, next_hi = edges(k - 1)
+        pad_lo, pad_hi = lo - next_lo + 1, next_hi + 1 - hi
+        if pad_lo or pad_hi:
+            buf = np.empty(hi - lo + 1 + pad_lo + pad_hi)
+            v = np.maximum(lie, truth, out=buf[pad_lo : buf.size - pad_hi])
+            buf[:pad_lo] = v[0]
+            buf[buf.size - pad_hi :] = v[-1]
+        else:
+            v = buf = np.maximum(lie, truth)
+        yield k, lo + k, v, lie, truth
+        v, lo, hi = buf, next_lo, next_hi
+
+
+def _full_row(a: np.ndarray, k: int, start: int) -> np.ndarray:
+    """Stage k's 2k+1 offsets from a window ``a`` of :func:`_backward` that
+    starts at index ``start``: each offset outside it holds its edge cell."""
+    if a.size == 2 * k + 1:
+        return a
+    row = np.empty(2 * k + 1, dtype=a.dtype)
+    row[:start] = a[0]
+    row[start : start + a.size] = a
+    row[start + a.size :] = a[-1]
+    return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +181,9 @@ class ValueTable(OnlinePolicy):
     ``values[k]`` holds the optimal continuation loss at stage k for offsets
     j = -k..k (index j + k), as ``lie_optimal[k]`` the action (ties lie) and
     ``tie_flags[k]`` where both actions are optimal to within tolerance.
-    ``states_evaluated`` counts state evaluations (the sum of 2k+1).
+    ``states_evaluated`` counts the table's states (the sum of 2k+1, N^2):
+    the pass evaluates those in each stage's window and copies the rest from
+    its edge cells, which hold the same bits (see ``_backward``).
     """
 
     values: list[np.ndarray]
@@ -139,7 +199,8 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
     lie_optimal: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
     tie_flags: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
     states = 0
-    for k, v, lie, truth in _backward(params):
+    for k, start, *arrays in _backward(params):
+        v, lie, truth = (_full_row(a, k, start) for a in arrays)
         values[k] = v
         lie_optimal[k] = lie >= truth
         diff = lie - truth
@@ -153,8 +214,8 @@ def optimal_policy(params: ModelParams) -> OnlinePolicy:
     """The optimal online policy, its actions packed eight to a byte; root
     value and actions equal ``solve_two_expert``'s bit for bit."""
     packed: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * params.horizon
-    for k, v, lie, truth in _backward(params):
-        packed[k] = np.packbits(lie >= truth)
+    for k, start, v, lie, truth in _backward(params):
+        packed[k] = np.packbits(_full_row(lie >= truth, k, start))
     return OnlinePolicy(params, float(v[0]), _PackedActions(tuple(packed)))
 
 
@@ -164,8 +225,8 @@ def optimal_values(params: ModelParams) -> np.ndarray:
     bit for bit, read off one pass at horizon N (offset 0 of stage N - r)."""
     n = params.horizon
     out = np.zeros(n + 1)
-    for k, v, _, _ in _backward(params):
-        out[n - k] = v[k]
+    for k, start, v, _, _ in _backward(params):
+        out[n - k] = v[k - start]
     return out
 
 
@@ -265,7 +326,8 @@ def simulate_online(
     outcomes = np.empty((n, -(-trials // 8)), dtype=np.uint8)
     blocks = _honest_outcomes(seed, np.full(n, params.mu), trials)
     for lo, correct in zip(range(0, trials, _TRIAL_CHUNK), blocks):
-        packed = np.packbits(correct, axis=0).T
+        # transposed first: packing along the contiguous axis is the fast one
+        packed = np.packbits(np.ascontiguousarray(correct.T), axis=1)
         outcomes[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
     q_lie, q_truth = _offset_losses(params, params.rho0)
     table = np.stack([q_truth, np.full_like(q_truth, params.q(1.0)),
@@ -278,7 +340,7 @@ def simulate_online(
     for k in range(n):
         code = policy.lie_optimal[k].view(np.uint8).take(pos)
         code += 2 * np.unpackbits(outcomes[k], count=trials)
-        loss += table.take(4 * (pos + (n - k)) + code)  # i = pos + n - k
+        loss += table[4 * (n - k) :].take(4 * pos + code)  # i = pos + n - k
         pos += step.take(code)
     return _mc_summary(loss, trials, seed)
 

@@ -31,7 +31,7 @@ from mwadversary import (
 )
 from mwadversary.core import GuardError
 from mwadversary.exact_eval import _stage_costs
-from mwadversary.online_dp import _backward, _byte_split, _honest_outcomes
+from mwadversary.online_dp import _backward, _byte_split, _full_row, _honest_outcomes
 from mwadversary.verify import expectimax_value
 
 E = math.e
@@ -112,17 +112,18 @@ class TestSolveTwoExpert:
     def test_backward_stages_can_be_kept(self, n):
         """Every array the backward pass yields is new, so a caller may keep
         them all: no two kept arrays share memory, and each kept stage's
-        values are the larger action, each action the Bellman step from the
-        kept next stage."""
+        values, expanded by their edge cells to the full row, are the larger
+        action, each action the Bellman step from the kept next stage."""
         p = params(mu=0.3, horizon=n, rho0=0.2)
         stages = list(_backward(p))
         assert [k for k, *_ in stages] == list(range(n - 1, -1, -1))
-        kept = [a for _, *arrays in stages for a in arrays]
+        kept = [a for _, _, *arrays in stages for a in arrays]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1:])
         lie_costs, truth_costs = _stage_costs(p)
         mu = p.mu
         nxt = np.zeros(2 * n + 1)
-        for k, v, lie, truth in stages:
+        for k, start, *arrays in stages:
+            v, lie, truth = (_full_row(a, k, start) for a in arrays)
             window = slice(n - k, n + k + 1)
             assert np.array_equal(lie, lie_costs[window] + mu * nxt[2:] + (1.0 - mu) * nxt[1:-1])
             assert np.array_equal(truth, truth_costs[window] + (1.0 - mu) * nxt[:-2] + mu * nxt[1:-1])
@@ -131,8 +132,9 @@ class TestSolveTwoExpert:
 
     @pytest.mark.parametrize("n", [100, 200, 400])
     def test_state_count_probe(self, n):
-        """Exactly 2k+1 offsets are touched at stage k, so total work is
-        quadratic in the horizon."""
+        """The table holds 2k+1 offsets at stage k, N^2 states in all; the
+        pass evaluates only the window of each stage (see
+        ``TestSaturatedWindow``) and copies the rest from its edge cells."""
         table = solve_two_expert(params(horizon=n))
         assert table.states_evaluated == n * n
         assert all(table.values[k].size == 2 * k + 1 for k in range(n + 1))
@@ -141,6 +143,66 @@ class TestSolveTwoExpert:
         counts = {n: solve_two_expert(params(horizon=n)).states_evaluated for n in (100, 200, 400)}
         assert counts[200] / counts[100] == 4.0
         assert counts[400] / counts[200] == 4.0
+
+
+def _full_cone_backward(p):
+    """The Bellman step on every offset -k..k of every stage, with no window:
+    the reference that the windowed pass must equal bit for bit."""
+    n, mu = p.horizon, p.mu
+    lie_costs, truth_costs = _stage_costs(p)
+    v = np.zeros(2 * n + 1)
+    for k in range(n - 1, -1, -1):
+        window = slice(n - k, n + k + 1)
+        up, down = mu * v, (1.0 - mu) * v
+        lie = lie_costs[window] + up[2:]
+        lie += down[1:-1]
+        truth = truth_costs[window] + down[:-2]
+        truth += up[1:-1]
+        v = np.maximum(lie, truth)
+        yield k, v, lie, truth
+
+
+WINDOW_GRID = list(product((0.1, 0.3, 0.5, 0.93), (1e-12, 0.05, 0.5, 0.9, 1 - 1e-9), LOSSES))
+
+
+class TestSaturatedWindow:
+    """Past the offsets where rho_j rounds to 0 or 1 both stage costs are
+    constant, and the backward pass evaluates only the window of offsets
+    that meet a non-constant cost in their remaining stages."""
+
+    @staticmethod
+    def _check(p):
+        policy, ref_values = optimal_policy(p), np.zeros(p.horizon + 1)
+        for (k, start, *arrays), (k_ref, *ref) in zip(_backward(p), _full_cone_backward(p),
+                                                      strict=True):
+            assert k == k_ref
+            for got, want in zip(arrays, ref):
+                assert np.array_equal(_full_row(got, k, start), want)
+            assert np.array_equal(policy.lie_optimal.packed[k], np.packbits(ref[1] >= ref[2]))
+            ref_values[p.horizon - k] = ref[0][k]
+        assert policy.root_value == ref[0][0]
+        assert np.array_equal(optimal_values(p), ref_values)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1 / E, 0.6, 0.9, 0.99],
+                             ids=["1e-3", "1/e", "0.6", "0.9", "0.99"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
+    def test_window_is_the_full_cone_bit_for_bit(self, eps, n):
+        """Each windowed stage, expanded by its edge cells, is the full-cone
+        Bellman step bit for bit, as are the root value, the packed actions
+        and every horizon's value, on extreme weights and every test loss."""
+        for mu, rho0, loss in WINDOW_GRID:
+            self._check(params(mu=mu, horizon=n, rho0=rho0, epsilon=eps, loss=LOSSES[loss]))
+
+    def test_window_is_the_full_cone_at_a_long_horizon(self):
+        self._check(params(mu=0.3, horizon=2000, rho0=0.2))
+
+    @pytest.mark.parametrize("eps,bound", [(1 / E, 0.55), (0.9, 0.70)])
+    def test_window_skips_the_saturated_offsets(self, eps, bound):
+        """The windows hold about half of the N^2 states at N = 2000 (0.519
+        at eps = 1/e, 0.661 at eps = 0.9)."""
+        n = 2000
+        sizes = [v.size for _, _, v, _, _ in _backward(params(horizon=n, epsilon=eps))]
+        assert len(sizes) == n and sum(sizes) <= bound * n * n
 
 
 class TestOptimalValue:
