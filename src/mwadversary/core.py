@@ -241,11 +241,12 @@ def binomial(trials: int, p: float) -> BinomialDist:
 
     The recurrence is anchored at the mode when the usual start value
     (1-p)**n would underflow, so very long horizons stay usable.  The
-    ``lgamma`` anchor's rounding scales that whole law (without the division
-    |sum - 1| reaches 4.6e-12 at n = 8000), so an anchored pmf is divided by
-    its sum.  The pmf is still not exact: the recurrence's own rounding bends
-    its shape, by 4.3e-15 in L1 from the exact law of the same float p at
-    n = 8000, p = 0.3.
+    rounding of either start value, ``exp(n log1p(-p))`` or the ``lgamma``
+    anchor, scales the whole law (without the division |sum - 1| reaches
+    7.4e-14 at n = 1000, p = 0.3 and 4.6e-12 at n = 8000), so the pmf is
+    divided by its sum.  It is still not exact: the recurrence's own
+    rounding bends its shape, by 4.3e-15 in L1 from the exact law of the
+    same float p at n = 8000, p = 0.3.
     """
     if not _is_count(trials):
         raise ValueError(f"trials must be a nonnegative integer, got {trials}")
@@ -281,5 +282,5 @@ def binomial(trials: int, p: float) -> BinomialDist:
     if anchor > 0:
         i = np.arange(anchor, 0, -1)
         pmf[anchor - 1 :: -1] = pmf[anchor] * np.cumprod(i / ((n - i + 1.0) * r))
-        pmf /= pmf.sum()  # anchor > 0 only in the lgamma-anchored branch
+    pmf /= pmf.sum()
     return BinomialDist(n, pmf)

@@ -325,13 +325,14 @@ def offline_optimum(params: ModelParams) -> tuple[OfflinePolicy, float]:
     """Best offline policy and its value, traced back through the bits of
     :func:`_offline_forward` from the largest final argmax a.  As ties take
     the truth, a constant loss gives all lies; the text may differ from the
-    exhaustive search's where policies tie to rounding."""
+    exhaustive search's where policies tie to rounding.  Each stage's bits
+    are kept packed, eight to a byte (at most N^2/16 + N bytes in all)."""
     rows = []
     for best, by_lie in _offline_forward(params):
-        rows.append(by_lie)
+        rows.append(np.packbits(by_lie))
     a, lies = int(np.flatnonzero(best == best.max())[-1]), []
     for row in reversed(rows):
-        lies.append(bool(row[a]))
+        lies.append(bool(int(row[a >> 3]) >> (7 - (a & 7)) & 1))  # big-endian bit a
         a -= lies[-1]
     return OfflinePolicy("".join("TF"[lie] for lie in reversed(lies))), float(best.max())
 

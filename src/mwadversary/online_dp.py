@@ -10,10 +10,17 @@ the optimum of every horizon 0..N off offset 0 as it goes; a played policy
 keeps one bit (its action) per state; the full table, an ``OnlinePolicy``
 that also keeps values and ties, stays as ``BENCHMARK.json`` names
 ``solve_two_expert``.  The passes' oracle is ``verify.expectimax_value``.
-Both hot loops cost a few whole-stage numpy calls per stage: the backward
-pass takes one ``mu * v`` product and two sums per action, and the Monte
-Carlo replay of a policy moves every trial one stage and adds that stage's
-loss, so each trial sums its losses in stage order.
+The backward pass costs a few whole-stage numpy calls per stage: one
+``mu * v`` product and two sums per action.  The Monte Carlo replay of a
+policy reads only the offsets each stage can reach from offset 0, an
+interval that only widens (6 offsets over N = 8000 at mu = 1/2, eps =
+1/e), and looks up eight stages at a time: each distinct 8-stage action
+pattern maps a start offset and an outcome byte to the eight stage losses
+and the end offset.  Each trial still adds its losses one stage at a time,
+in stage order, from the same table cells, so its sum is bit for bit that
+of a per-stage replay.  Past a fixed map budget (``_BLOCK_MAP_CELLS``,
+reached by wide intervals with many patterns, as at eps = 0.99) the replay
+steps one stage at a time instead.
 Past |j| of about 37 (eps = 1/e, rho0 = 1/2), rho_j rounds to 0 or 1 and
 both stage costs are exactly constant, so the backward pass evaluates only a
 window of each stage, about half of the N^2 states: every offset outside it
@@ -23,8 +30,8 @@ row.
 Both Monte Carlo harnesses draw each honest outcome from one random byte
 (``_honest_outcomes``): P(correct) = mu exactly, a trial's outcomes do not
 depend on how many trials follow it, and the few bytes that tie with 256 mu
-take one uniform each, in row-major cell order.  The replay keeps them
-stage-major, one bit per (trial, stage).
+take one uniform each, in row-major cell order.  The replay keeps them one
+bit per (trial, stage), eight stages to a byte.
 Also here: the exact K-expert model on a mistake-count grid (one two-point
 average per honest expert, along its axis), a clairvoyant solver that takes
 a block of realizations in one pass with its Monte Carlo harness, and the
@@ -65,9 +72,13 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 # trials per block of honest outcomes (one random byte per cell, exact P = mu, tie
-# uniforms in row-major order); a multiple of 8, so a packed block is whole bytes,
-# and no outcome depends on it or on the trials after its own
+# uniforms in row-major order); no outcome depends on it or on the trials after its own
 _TRIAL_CHUNK = 256
+# cells of a replay's block maps (distinct 8-stage action patterns x reachable offsets x
+# 256 outcome bytes, 72 bytes each, so at most 19 MB) beyond which it replays stage by
+# stage instead
+_BLOCK_MAP_CELLS = 1 << 18
+_STEP = np.array([-1, 0, 0, 1])  # offset move of code lie + 2 * correct
 _K_EXPERT_MAX_K = 5
 _K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
@@ -290,13 +301,72 @@ def _honest_outcomes(seed: int, mu: np.ndarray, trials: int) -> Iterator[np.ndar
             tie &= tied
             at = np.flatnonzero(tie)  # row-major
             correct.flat[at] = ties.random(at.size) < r[at % cells]
+        # drop the block's bytes before the caller runs and its outcomes before the
+        # next block is drawn: holding both blocks costs 4 MB more at N = 8000
+        b = tie = None
         yield correct
+        del correct
 
 
 def _mc_summary(losses: np.ndarray, trials: int, seed: int) -> MCResult:
     # one trial leaves the spread, and so the stderr, undefined (NaN)
     sd = float(losses.std(ddof=1)) if trials > 1 else math.nan
     return MCResult(trials, float(losses.mean()), sd / math.sqrt(trials), seed, losses)
+
+
+def _reachable_actions(policy: OnlinePolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a replay of ``policy`` from offset 0 can be, and its actions there.
+
+    Stage k reaches exactly the offsets lo_k..hi_k: every offset can stay put
+    (a wrong lie, a right truth), so lo_{k+1} = lo_k - (truth at lo_k) and
+    hi_{k+1} = hi_k + (lie at hi_k).  So lo falls and hi rises, and their
+    union is L..H = lo[-1]..hi[-1].  Returns lo and hi (one entry per stage)
+    and the actions packed over L..H, one row per stage (bit s, big-endian,
+    is offset L + s), zero outside lo_k..hi_k, with zero rows after stage
+    N - 1 up to a whole number of 8-stage blocks.  A packed policy is read
+    only in the bytes that cover lo_k..hi_k, and no full row is kept.
+    """
+    actions, n = policy.lie_optimal, policy.params.horizon
+    packed = (actions.packed if isinstance(actions, _PackedActions)
+              else map(np.packbits, actions))
+    # every buffer at its final size: grown ones fragment the heap of a long run
+    lo, hi, bits = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), [0] * n
+    a = b = 0  # lo_k + k and hi_k + k, stage k's row indices
+    for k, row in enumerate(packed):
+        lo[k], hi[k] = a - k, b - k
+        x = int.from_bytes(row[a >> 3 : (b >> 3) + 1].tobytes(), "big") >> (7 - (b & 7))
+        x &= (2 << (b - a)) - 1  # bit i is row index b - i
+        bits[k] = x
+        a += x >> (b - a)
+        b += 1 + (x & 1)
+    width = int(hi[-1] - lo[-1]) + 1
+    nbytes = -(-width // 8)
+    shifts = (hi[-1] - hi + 8 * nbytes - width).tolist()
+    rows = np.zeros((-(-n // 8) * 8, nbytes), dtype=np.uint8)
+    rows[:n] = np.fromiter(((x << s).to_bytes(nbytes, "big") for x, s in zip(bits, shifts)),
+                           dtype=f"S{nbytes}", count=n).view(np.uint8).reshape(n, nbytes)
+    return lo, hi, rows
+
+
+def _block_maps(patterns: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eight stages of a replay as one lookup.  ``patterns`` is (P, 8, W):
+    pattern p's action at stage t of a block and offset index s.  Cell
+    m = (p W + s) 256 + c, for a block of pattern p entered at offset index
+    s with outcome byte c (stage t correct iff bit 7 - t is set), holds the
+    eight stage losses ``losses[:, m]``, read from the flat loss table
+    ``table`` as the per-stage replay reads them, and 256 times the end
+    offset index, ``ends[m]``.  An offset index leaves 0..W-1 only from a
+    start its block cannot reach, so it is clipped there."""
+    p, _, width = patterns.shape
+    first = np.arange(p)[:, None, None] * (8 * width)  # pattern p's stage 0 in the flat bits
+    pos = np.broadcast_to(np.arange(width)[:, None], (p, width, 256))
+    byte = np.arange(256)
+    losses = np.empty((8, p, width, 256))
+    for t in range(8):
+        code = patterns.take(first + t * width + pos) + 2 * (byte >> (7 - t) & 1)
+        table.take(4 * pos + code, out=losses[t])
+        pos = np.clip(pos + _STEP.take(code), 0, width - 1)
+    return losses.reshape(8, -1), 256 * pos.ravel()
 
 
 def simulate_online(
@@ -311,37 +381,68 @@ def simulate_online(
     ``_honest_outcomes``: one random byte each, correct with probability
     exactly mu, the bytes that tie with 256 mu taking one uniform each in
     row-major order, so the first t trials do not depend on ``trials``.
-    They are kept stage-major, eight trials to a byte (N x trials / 8
-    bytes).  A stage's loss is row 4i + lie + 2 * correct of one flat
-    table, at offset index i: Q(1 - rho_j), Q(1), Q(0) or Q(rho_j).  Each
-    stage unpacks its outcomes, gathers every trial's action and loss, adds
-    the loss and moves the trial, so every trial sums its losses in stage
-    order.
+    They are kept eight stages to a byte, one row of ``trials`` bytes per
+    block of eight stages (N / 8 x trials bytes).  A stage's loss is row
+    4i + lie + 2 * correct of one flat table, at offset index i: Q(1 -
+    rho_j), Q(1), Q(0) or Q(rho_j).
+
+    The replay sees only the offsets each stage can reach
+    (``_reachable_actions``), a few at eps = 1/e.  It deduplicates the
+    blocks' action patterns and, for each, maps a start offset and an
+    outcome byte to the block's eight stage losses and end offset
+    (``_block_maps``), so a block costs two gathers.  Each trial still adds
+    its losses one stage at a time, in stage order, from the same table
+    cells, so every per-trial loss is bit for bit the per-stage replay's.
+    A last partial block is charged for its own stages only.  When the maps
+    would exceed ``_BLOCK_MAP_CELLS`` cells (many patterns on a wide
+    interval, as at eps = 0.99), each stage instead gathers every trial's
+    action and loss and moves the trial.
     """
     if policy.params != params:
         raise ValueError("policy was solved for different parameters")
     trials = _positive_int("trials", trials)
     n = params.horizon
-    # outcomes stored stage-major, eight trials to a byte
-    outcomes = np.empty((n, -(-trials // 8)), dtype=np.uint8)
-    blocks = _honest_outcomes(seed, np.full(n, params.mu), trials)
-    for lo, correct in zip(range(0, trials, _TRIAL_CHUNK), blocks):
-        # transposed first: packing along the contiguous axis is the fast one
-        packed = np.packbits(np.ascontiguousarray(correct.T), axis=1)
-        outcomes[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
+    blocks = -(-n // 8)
+    lo, hi, actions = _reachable_actions(policy)
+    low, width = int(lo[-1]), int(hi[-1] - lo[-1] + 1)
+    # stage 8b + t of a trial is bit 7 - t of its byte in row b
+    outcomes = np.empty((blocks, trials), dtype=np.uint8)
+    draws = _honest_outcomes(seed, np.full(n, params.mu), trials)
+    for first, correct in zip(range(0, trials, _TRIAL_CHUNK), draws):
+        outcomes[:, first : first + correct.shape[0]] = np.packbits(correct, axis=1).T
+        del correct  # so the next block can reuse its memory
     q_lie, q_truth = _offset_losses(params, params.rho0)
+    # offset index s is offset low + s
     table = np.stack([q_truth, np.full_like(q_truth, params.q(1.0)),
-                      np.full_like(q_truth, params.q(0.0)), q_lie], axis=1).ravel()
-    # pos = j + k indexes stage k's actions: +2 after a correct lie (j + 1),
-    # +0 after a wrong truth (j - 1), else +1
-    step = np.array([0, 1, 1, 2])
-    pos = np.zeros(trials, dtype=np.intp)
+                      np.full_like(q_truth, params.q(0.0)), q_lie],
+                     axis=1)[n + low : n + low + width].ravel()
+    keys = actions.reshape(blocks, -1)
+    patterns, of_block = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+                                   return_inverse=True)
+    pos = np.full(trials, -low, dtype=np.intp)
     loss = np.zeros(trials)
-    for k in range(n):
-        code = policy.lie_optimal[k].view(np.uint8).take(pos)
-        code += 2 * np.unpackbits(outcomes[k], count=trials)
-        loss += table[4 * (n - k) :].take(4 * pos + code)  # i = pos + n - k
-        pos += step.take(code)
+    if patterns.size * width * 256 <= _BLOCK_MAP_CELLS:
+        patterns = np.unpackbits(patterns.view(np.uint8).reshape(-1, 8, actions.shape[1]),
+                                 axis=2, count=width)
+        losses, ends = _block_maps(patterns, table)
+        pos *= 256
+        starts = of_block * (width * 256)
+        for b in range(blocks):
+            cell = pos + outcomes[b]
+            cell += starts[b]
+            for charge in losses.take(cell, axis=1)[: n - 8 * b]:
+                loss += charge
+            pos = ends.take(cell)
+    else:
+        for b in range(blocks):
+            lies = np.unpackbits(actions[8 * b : 8 * b + 8], axis=1, count=width)
+            correct = np.unpackbits(outcomes[b][None], axis=0)
+            correct <<= 1
+            for t in range(min(8, n - 8 * b)):
+                code = lies[t].take(pos)
+                code += correct[t]
+                loss += table.take(4 * pos + code)
+                pos += _STEP.take(code)
     return _mc_summary(loss, trials, seed)
 
 

@@ -350,6 +350,13 @@ class TestBinomial:
         assert n * math.log1p(-p) <= -700  # (1-p)**n underflows: the anchored branch
         assert abs(binomial(n, p).pmf.sum() - 1.0) <= 4 * math.ulp(1.0)
 
+    @pytest.mark.parametrize("n, p", [(9, 0.3), (100, 0.9), (300, 0.7), (1000, 0.3),
+                                      (1000, 0.5), (2000, 0.2), (5000, 0.1)])
+    def test_law_from_the_start_value_sums_to_one(self, n, p):
+        """Rounding exp(n log1p(-p)) scaled these laws by up to 7.4e-14."""
+        assert n * math.log1p(-p) > -700  # the recurrence starts at (1-p)**n
+        assert abs(binomial(n, p).pmf.sum() - 1.0) <= 4 * math.ulp(1.0)
+
     @pytest.mark.parametrize("n, p", [(2000, 0.3), (2000, 0.7), (8000, 0.5)])
     def test_anchored_law_matches_the_exact_law(self, n, p):
         """Against the law of the float p itself, C(n, k) a^k (b-a)^(n-k) / b^n

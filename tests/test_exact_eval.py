@@ -515,6 +515,38 @@ def test_every_horizon_from_one_offline_pass(mu, rho0, eps, loss):
         assert values[r] == offline_optimum(replace(p, horizon=r))[1]
 
 
+def bool_row_offline_optimum(p):
+    """The traceback of :func:`offline_optimum` through unpacked bool rows."""
+    rows = []
+    for best, by_lie in exact_eval._offline_forward(p):
+        rows.append(by_lie)
+    a, lies = int(np.flatnonzero(best == best.max())[-1]), []
+    for row in reversed(rows):
+        lies.append(bool(row[a]))
+        a -= lies[-1]
+    return "".join("TF"[lie] for lie in reversed(lies)), float(best.max())
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 60, 2000])
+@pytest.mark.parametrize("mu,rho0", [(0.3, 0.5), (0.5, 0.2), (0.7, 0.9)])
+def test_offline_traceback_reads_packed_bits(monkeypatch, mu, rho0, n):
+    """The traceback reads one packed bit per stage: the policy text and the
+    value are the bool rows' bit for bit, and the kept bytes total at most
+    N^2/16 + N (stage k has k + 2 bits)."""
+    p = params(mu=mu, horizon=n, rho0=rho0)
+    kept, pack = [], np.packbits
+
+    def packbits(bits):
+        kept.append(pack(bits))
+        return kept[-1]
+
+    monkeypatch.setattr(exact_eval.np, "packbits", packbits)
+    pol, val = offline_optimum(p)
+    monkeypatch.undo()
+    assert (pol.text, val) == bool_row_offline_optimum(p)
+    assert len(kept) == n and sum(row.nbytes for row in kept) <= n * n / 16 + n
+
+
 def convolved_offline_optimum(p):
     """The optimum as a backward pass that convolves stage k's costs with the
     pmf of Bin(k, 1 - mu): the O(N^3) form the forward recursion replaced."""

@@ -30,8 +30,15 @@ from mwadversary import (
     weight_power,
 )
 from mwadversary.core import GuardError
-from mwadversary.exact_eval import _stage_costs
-from mwadversary.online_dp import _backward, _byte_split, _full_row, _honest_outcomes
+from mwadversary import online_dp
+from mwadversary.exact_eval import _offset_losses, _stage_costs
+from mwadversary.online_dp import (
+    _backward,
+    _byte_split,
+    _full_row,
+    _honest_outcomes,
+    _reachable_actions,
+)
 from mwadversary.verify import expectimax_value
 
 E = math.e
@@ -408,6 +415,103 @@ class TestOptimalPolicy:
         state plus at most one partial byte per stage."""
         packed = optimal_policy(params(horizon=n)).lie_optimal.packed
         assert sum(a.nbytes for a in packed) <= n * n / 8 + n
+
+
+def _per_stage_replay(p, policy, trials, seed):
+    """The replay as one step per stage on full action rows, every trial's
+    outcomes drawn at once: every trial's loss, added stage by stage from
+    the flat loss table, and each stage's lowest and highest offset."""
+    n = p.horizon
+    correct = np.concatenate(list(_honest_outcomes(seed, np.full(n, p.mu), trials)))
+    q_lie, q_truth = _offset_losses(p, p.rho0)
+    table = np.stack([q_truth, np.full_like(q_truth, p.q(1.0)),
+                      np.full_like(q_truth, p.q(0.0)), q_lie], axis=1).ravel()
+    j, loss, seen = np.zeros(trials, dtype=np.intp), np.zeros(trials), np.empty((n, 2), int)
+    for k in range(n):
+        seen[k] = j.min(), j.max()
+        code = policy.lie_optimal[k].view(np.uint8)[j + k] + 2 * correct[:, k]
+        loss += table[4 * (j + n) + code]
+        j += np.array([-1, 0, 0, 1])[code]
+    return loss, seen
+
+
+@pytest.fixture
+def map_shapes(monkeypatch):
+    """The (patterns, 8, width) shape of every block map a replay builds."""
+    shapes, build = [], online_dp._block_maps
+
+    def recording(patterns, table):
+        shapes.append(patterns.shape)
+        return build(patterns, table)
+
+    monkeypatch.setattr(online_dp, "_block_maps", recording)
+    return shapes
+
+
+class TestBlockReplay:
+    """The replay looks up eight stages at a time over each stage's reachable
+    offsets, and falls back to one step per stage when its maps would pass
+    the budget; both add every trial's losses in stage order, so each
+    per-trial loss is the per-stage oracle's bit for bit."""
+
+    @pytest.mark.parametrize("budget", ["module", "none"])
+    @pytest.mark.parametrize("eps", [1 / E, 0.9, 0.99], ids=["1/e", "0.9", "0.99"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 17, 301])
+    def test_matches_the_per_stage_oracle(self, monkeypatch, map_shapes, n, eps, budget):
+        if budget == "none":
+            monkeypatch.setattr(online_dp, "_BLOCK_MAP_CELLS", 0)
+        losses = {**LOSSES, "math.sqrt": math.sqrt}  # a loss that takes only scalars
+        grid = [*WINDOW_GRID, *product((0.3, 0.93), (0.5,), ["math.sqrt"])]
+        for mu, rho0, loss in grid:
+            p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps, loss=losses[loss])
+            for policy in (optimal_policy(p), solve_two_expert(p)):
+                want, _ = _per_stage_replay(p, policy, 37, 11)
+                assert np.array_equal(simulate_online(p, policy, 37, 11).per_trial, want)
+        if budget == "none":
+            assert not map_shapes
+        elif n == 301:  # both paths run at 1/e and 0.9, only steps at 0.99
+            assert len(map_shapes) < 2 * len(grid)
+            assert bool(map_shapes) == (eps != 0.99)
+        for patterns, _, width in map_shapes:
+            assert patterns * width * 256 <= online_dp._BLOCK_MAP_CELLS
+
+    def test_long_configuration_takes_the_block_path(self, map_shapes):
+        """The benchmark's ``long`` call, N = 8000 at mu = 1/2 with 2000 trials:
+        the oracle's per-trial losses, from maps within the budget over at
+        most eight offsets."""
+        p = params(mu=0.5, horizon=8000)
+        policy = optimal_policy(p)
+        want, seen = _per_stage_replay(p, policy, 2000, 3)
+        assert np.array_equal(simulate_online(p, policy, 2000, 3).per_trial, want)
+        [(patterns, _, width)] = map_shapes
+        assert width <= 8 and patterns * width * 256 <= online_dp._BLOCK_MAP_CELLS
+        lo, hi, _ = _reachable_actions(policy)
+        assert np.all((lo <= seen[:, 0]) & (seen[:, 1] <= hi)) and hi[-1] - lo[-1] < 8
+
+    @pytest.mark.parametrize("eps", [1 / E, 0.9, 0.99], ids=["1/e", "0.9", "0.99"])
+    @pytest.mark.parametrize("n", [1, 9, 60, 301])
+    def test_reachable_interval_is_sound_and_exact(self, n, eps):
+        """Every trial of the per-stage replay sits inside stage k's interval
+        lo_k..hi_k, which is the set of offsets that some outcome sequence
+        reaches; the packed rows hold the actions there and zero elsewhere."""
+        for mu, rho0, _ in WINDOW_GRID[:: len(LOSSES)]:
+            p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps)
+            policy = optimal_policy(p)
+            lo, hi, rows = _reachable_actions(policy)
+            _, seen = _per_stage_replay(p, policy, 200, 5)
+            assert np.all((lo <= seen[:, 0]) & (seen[:, 1] <= hi))
+            assert rows.shape == (-(-n // 8) * 8, (hi[-1] - lo[-1] + 8) // 8)
+            assert not rows[n:].any()
+            reach = {0}
+            for k in range(n):
+                assert reach == set(range(lo[k], hi[k] + 1))
+                full = policy.lie_optimal[k]
+                bits = np.unpackbits(rows[k], count=hi[-1] - lo[-1] + 1).astype(bool)
+                offsets = np.arange(lo[-1], hi[-1] + 1)
+                inside = (lo[k] <= offsets) & (offsets <= hi[k])
+                assert np.array_equal(bits[inside], full[offsets[inside] + k])
+                assert not bits[~inside].any()
+                reach = {i for j in reach for i in (j, j + 1 if full[j + k] else j - 1)}
 
 
 class TestGeneralLoss:
