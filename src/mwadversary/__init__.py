@@ -42,6 +42,7 @@ from .online_dp import (
     clairvoyant_value,
     clairvoyant_values,
     monte_carlo_k_expert,
+    monte_carlo_k_expert_values,
     no_info_conditional_losses,
     no_information_baseline,
     no_information_values,
@@ -50,6 +51,7 @@ from .online_dp import (
     optimal_values,
     simulate_online,
     solve_k_expert,
+    solve_k_expert_values,
     solve_two_expert,
 )
 from .policies import (

@@ -41,12 +41,12 @@ from .exact_eval import (
 )
 from .online_dp import (
     KExpertParams,
-    monte_carlo_k_expert,
+    monte_carlo_k_expert_values,
     no_information_values,
     optimal_policy,
     optimal_values,
     simulate_online,
-    solve_k_expert,
+    solve_k_expert_values,
 )
 from .output import fmt, write_csv, write_svg
 from .policies import (
@@ -386,24 +386,27 @@ def _k_params(cfg: ExperimentConfig, n: int) -> KExpertParams:
 
 def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     longest = max(cfg.horizons)
-    rho_adv = _k_params(cfg, longest).adversary_relative_weight  # validates before np.mean reads them
+    kparams = _k_params(cfg, longest)
+    rho_adv = kparams.adversary_relative_weight  # validates before np.mean reads them
     header = ["N", "epsilon", "rho_adv", "mu_mean", "v_two_expert", "v_k_clairvoyant",
               "v_k_clairvoyant_stderr", "v_k_exact_dp", "trials", "k_experts", "accuracies"]
     mu_mean = float(np.mean(cfg.accuracies))
     acc_text = ";".join(fmt(a) for a in cfg.accuracies)
     # one backward pass at the largest horizon holds the reduced model's
-    # online value of every smaller one
+    # online value of every smaller one, and one exact K-expert solve at the
+    # largest horizon within exact_dp_max_n (raising the knob past the solver
+    # guards is a hard guard violation, exit 3) every exact value; it runs
+    # before the draws, so its grids and their losses are never held together
     two_expert = optimal_values(_params(cfg, mu_mean, rho_adv, longest))
+    exact_n = max((n for n in cfg.horizons if n <= cfg.exact_dp_max_n), default=0)
+    exact = solve_k_expert_values(_k_params(cfg, exact_n)) if exact_n else []
+    # one draw at the largest horizon: each row's trials are its first n stages
+    clairvoyant = monte_carlo_k_expert_values(kparams, cfg.trials, cfg.seed, cfg.horizons)
     rows = []
-    for n in cfg.horizons:
-        kparams = _k_params(cfg, n)
-        v2 = float(two_expert[n])
-        mc = monte_carlo_k_expert(kparams, cfg.trials, cfg.seed)
-        # horizons above exact_dp_max_n leave the exact column blank; raising
-        # the knob past the solver guards is a hard guard violation (exit 3)
-        v_exact = solve_k_expert(kparams) if n <= cfg.exact_dp_max_n else None
-        rows.append([n, cfg.epsilon, rho_adv, mu_mean, v2, mc.mean, mc.stderr, v_exact,
-                     cfg.trials, kparams.n_experts, acc_text])
+    for n, mc in zip(cfg.horizons, clairvoyant):
+        v_exact = float(exact[n]) if n <= cfg.exact_dp_max_n else None
+        rows.append([n, cfg.epsilon, rho_adv, mu_mean, float(two_expert[n]), mc.mean,
+                     mc.stderr, v_exact, cfg.trials, kparams.n_experts, acc_text])
     series = _columns(rows, [("two-expert online", 4), ("k-expert clairvoyant MC", 5),
                              ("k-expert exact DP", 7)])
     return header, rows, [("", "multi-expert vs reduced two-expert model", series)]

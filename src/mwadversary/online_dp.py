@@ -33,11 +33,18 @@ depend on how many trials follow it, and the few bytes that tie with 256 mu
 take one uniform each, in row-major cell order.  The replay keeps them one
 bit per (trial, stage), eight stages to a byte.
 Also here: the exact K-expert model on a mistake-count grid (one two-point
-average per honest expert, along its axis), a clairvoyant solver that takes
-a block of realizations in one pass with its Monte Carlo harness, and the
-baseline of an adversary with no outcome information, whose coin flips walk
-the offset with one fixed kernel: an adjoint pass carries the stage costs
-back through that kernel, one correlation per stage.
+average per honest expert, along its axis), whose grid point 0 at stage k
+holds the optimum of horizon N - k, so one solve gives every horizon; a
+clairvoyant solver, one forward longest path over (stage, adversary
+mistakes) for a block of realizations, which gives every horizon too; and
+the baseline of an adversary with no outcome information, whose coin flips
+walk the offset with one fixed kernel: an adjoint pass carries the stage
+costs back through that kernel, one correlation per stage.  The K-expert
+draws are stage-major (cell s (K-1) + i is expert i at stage s), so a
+shorter horizon's realization is a prefix of a longer one's: the
+``multi-expert`` rows all read one draw at their largest horizon, and their
+per-trial losses are nested and correlated across rows, while each row's
+stderr is still that of its independent trials.
 """
 
 from __future__ import annotations
@@ -62,9 +69,11 @@ __all__ = [
     "optimal_values",
     "simulate_online",
     "solve_k_expert",
+    "solve_k_expert_values",
     "clairvoyant_value",
     "clairvoyant_values",
     "monte_carlo_k_expert",
+    "monte_carlo_k_expert_values",
     "no_information_baseline",
     "no_information_values",
     "no_info_conditional_losses",
@@ -120,11 +129,7 @@ def _backward(params: ModelParams) -> Iterator[tuple[int, int, np.ndarray, np.nd
     mu = params.mu
     lie_costs, truth_costs = _stage_costs(params)
     lo0, hi0 = _saturated_bounds(lie_costs, truth_costs)
-
-    def edges(k: int) -> tuple[int, int]:
-        return max(-k, lo0 - n + k + 1), min(k, hi0 + n - k - 1)
-
-    lo, hi = edges(n - 1)
+    lo, hi = max(1 - n, lo0), min(n - 1, hi0)  # stage N - 1's window
     v = np.zeros(hi - lo + 3)  # the terminal stage on offsets lo - 1..hi + 1
     for k in range(n - 1, -1, -1):
         window = slice(n + lo, n + hi + 1)
@@ -133,8 +138,9 @@ def _backward(params: ModelParams) -> Iterator[tuple[int, int, np.ndarray, np.nd
         lie += down[1:-1]
         truth = truth_costs[window] + down[:-2]
         truth += up[1:-1]
-        # stage k - 1 reads this stage on offsets next_lo - 1..next_hi + 1
-        next_lo, next_hi = edges(k - 1)
+        # stage k - 1 reads this stage on offsets next_lo - 1..next_hi + 1; its
+        # window is one offset wider on each side, clipped to its cone -(k-1)..k-1
+        next_lo, next_hi = max(lo - 1, 1 - k), min(hi + 1, k - 1)
         pad_lo, pad_hi = lo - next_lo + 1, next_hi + 1 - hi
         if pad_lo or pad_hi:
             buf = np.empty(hi - lo + 1 + pad_lo + pad_hi)
@@ -483,8 +489,10 @@ class KExpertParams:
         return self.initial_weights[0] / sum(self.initial_weights)
 
 
-def solve_k_expert(params: KExpertParams) -> float:
-    """Exact optimal online expected loss against K-1 honest experts.
+def solve_k_expert_values(params: KExpertParams) -> np.ndarray:
+    """Exact optimal online expected loss against K-1 honest experts over
+    every horizon r = 0..N: ``out[r]`` equals :func:`solve_k_expert` at
+    horizon r bit for bit, read off one solve at horizon N.
 
     States are the honest-minus-adversary mistake-count differences, a grid
     of (2k+1)^(K-1) points at stage k (normalized weights are invariant to
@@ -492,8 +500,14 @@ def solve_k_expert(params: KExpertParams) -> float:
     independent, so each action's expectation is one two-point average per
     honest expert i along its own axis: if i is right (probability mu_i) a
     lie lowers d_i and a truth keeps it; if i errs a lie keeps d_i and a
-    truth raises it.  Guards: K <= 5, N <= 60 and at most 2,000,000 terminal
-    states; weights that overflow double precision are a guard violation.
+    truth raises it.  A grid point's stage costs depend on d alone, not on
+    the stage, so d = 0 at stage k starts a horizon N - k problem and holds
+    its optimum, the same float expressions on the same inputs as a solve
+    at that horizon.  Each stage builds its two cost grids once and runs
+    every average into two reused buffers (:func:`_grid_average`),
+    multiplying and then adding as a plain ``mu * a + (1 - mu) * b`` does.
+    Guards: K <= 5, N <= 60 and at most 2,000,000 terminal states; weights
+    that overflow double precision are a guard violation.
     """
     k_experts = params.n_experts
     n = params.horizon
@@ -510,9 +524,7 @@ def solve_k_expert(params: KExpertParams) -> float:
     eps = params.epsilon
     w0 = params.initial_weights
 
-    def along(a: np.ndarray, i: int, lo: int, size: int) -> np.ndarray:
-        return a[(slice(None),) * i + (slice(lo, lo + size),)]
-
+    out = np.zeros(n + 1)
     v = np.zeros((2 * n + 1,) * honest)
     for k in range(n - 1, -1, -1):
         size = 2 * k + 1
@@ -527,22 +539,101 @@ def solve_k_expert(params: KExpertParams) -> float:
         if not np.all(np.isfinite(total_w)):
             raise GuardError(f"epsilon={eps} and N={n}: weights overflow at stage {k}")
         wrong_w = sum((1.0 - mu) * a for mu, a in zip(params.accuracies, axis_w))
-        cost_lie = (w0[0] + wrong_w) / total_w
-        cost_truth = wrong_w / total_w
-        ev_lie = ev_truth = v
-        for i, mu in enumerate(params.accuracies):
-            ev_lie = mu * along(ev_lie, i, 0, size) + (1.0 - mu) * along(ev_lie, i, 1, size)
-            ev_truth = mu * along(ev_truth, i, 1, size) + (1.0 - mu) * along(ev_truth, i, 2, size)
-        v = np.maximum(cost_lie + ev_lie, cost_truth + ev_truth)
-    return float(v.reshape(-1)[0])
+        truth = wrong_w / total_w
+        wrong_w += w0[0]
+        lie = np.divide(wrong_w, total_w, out=wrong_w)
+        del total_w
+        buffers = np.empty((2, size * (size + 2) ** (honest - 1)))
+        lie += _grid_average(v, params.accuracies, 0, buffers, keep=True)
+        truth += _grid_average(v, params.accuracies, 1, buffers, keep=False)
+        v = np.maximum(lie, truth, out=lie)
+        del truth, buffers
+        out[n - k] = v[(k,) * honest]
+    return out
+
+
+def _grid_average(v: np.ndarray, accuracies: tuple[float, ...], first: int,
+                  buffers: np.ndarray, keep: bool) -> np.ndarray:
+    """The expectation of the next stage's values ``v`` over every honest
+    expert's outcome, one two-point average mu_i * a + (1 - mu_i) * b per
+    axis i, with a the window of v along axis i from index ``first`` and b
+    the one after it (``first`` = 0 for a lie, 1 for a truth).  Step i
+    leaves axes 0..i at this stage's size and writes row i % 2 of
+    ``buffers``, so the row it reads is free; it scales b in place where b's
+    grid is read no more (every source but v, and v too unless ``keep``).
+    Returns a view of ``buffers``."""
+    size = v.shape[0] - 2
+    src = v
+    for i, mu in enumerate(accuracies):
+        shape = (size,) * (i + 1) + src.shape[i + 1 :]
+        dst = buffers[i % 2, : math.prod(shape)].reshape(shape)
+        axis = (slice(None),) * i
+        np.multiply(src[axis + (slice(first, first + size),)], mu, out=dst)
+        b = src[axis + (slice(first + 1, first + 1 + size),)]
+        tmp = buffers[1, : dst.size].reshape(shape) if src is v and keep else b
+        np.multiply(b, 1.0 - mu, out=tmp)
+        src = np.add(dst, tmp, out=dst)
+    return src
+
+
+def solve_k_expert(params: KExpertParams) -> float:
+    """Exact optimal online expected loss against K-1 honest experts over
+    the full horizon (see :func:`solve_k_expert_values`)."""
+    return float(solve_k_expert_values(params)[-1])
+
+
+def _clairvoyant_forward(correct: np.ndarray, params: KExpertParams) -> np.ndarray:
+    """Clairvoyant optimum of every realization in ``correct`` (trials x N x
+    (K-1), stage-major, nonzero marking a correct honest prediction) over
+    every horizon: column r of the (trials x N+1) result is each trial's
+    optimum over its first r stages.
+
+    With the honest side known the only state is the adversary's own mistake
+    count a, so this is a forward longest path over (stage k, a), as
+    ``exact_eval._offline_forward`` is over lies so far: a lie moves a to
+    a + 1, a truth keeps it, and stage k's best total at each a = 0..k+1 is
+    the larger of its two ways in.  Every horizon's optimum is the best over
+    a after its last stage, O(N^2) per trial.  The stage costs are those of
+    a backward pass, summed in stage order instead.
+    """
+    trials, n, _ = correct.shape
+    eps = params.epsilon
+    w0 = np.array(params.initial_weights)
+    wrong = correct == 0
+    powers = eps ** np.arange(n, dtype=float)
+    before = np.cumsum(wrong, axis=1, dtype=np.intp)
+    before -= wrong
+    honest_w = w0[1:] * powers.take(before)  # (trials, N, K-1)
+    honest_total = honest_w.sum(axis=2)
+    honest_w *= wrong
+    honest_wrong = honest_w.sum(axis=2)
+    del before, honest_w
+    adv_w = w0[0] * powers  # over adversary mistake counts
+    # eps < 1, so stage k's smallest total weight is at k mistakes; name the
+    # last stage that underflows, where a backward pass would first meet one
+    underflow = np.flatnonzero(~np.all(adv_w + honest_total > 0.0, axis=0))
+    if underflow.size:
+        raise GuardError(
+            f"epsilon={eps} and N={n}: all weights underflow to 0 at stage {underflow[-1]}")
+    out = np.zeros((trials, n + 1))
+    best = np.zeros((trials, 1))  # over a = 0..k before stage k
+    for k in range(n):
+        total = adv_w[: k + 1] + honest_total[:, k, None]
+        lie = (adv_w[: k + 1] + honest_wrong[:, k, None]) / total + best
+        truth = honest_wrong[:, k, None] / total + best
+        best = np.empty((trials, k + 2))
+        best[:, : k + 1] = truth
+        best[:, k + 1] = lie[:, k]
+        np.maximum(best[:, 1 : k + 1], lie[:, :k], out=best[:, 1 : k + 1])
+        best.max(axis=1, out=out[:, k + 1])
+    return out
 
 
 def clairvoyant_values(realized, params: KExpertParams) -> np.ndarray:
     """Optimal total loss of each realization in ``realized`` (trials x (K-1)
-    x N, 1 marking a correct stage) when it is known in advance.
-
-    With the honest side deterministic the only state is the adversary's own
-    mistake count: one backward pass over all trials, O(N^2) per trial.
+    x N, 1 marking a correct stage) when it is known in advance: the last
+    column of :func:`_clairvoyant_forward`, one forward pass over all trials,
+    O(N^2) per trial.
     """
     r = np.asarray(realized)
     honest = params.n_experts - 1
@@ -551,27 +642,7 @@ def clairvoyant_values(realized, params: KExpertParams) -> np.ndarray:
         raise ValueError(f"realizations must have shape (trials, {honest}, {n}), got {r.shape}")
     if not np.all((r == 0) | (r == 1)):
         raise ValueError("realization entries must be 0 (wrong) or 1 (correct)")
-    eps = params.epsilon
-    w0 = np.array(params.initial_weights)
-    wrong = 1 - r
-    mistakes_before = np.cumsum(wrong, axis=2) - wrong
-    honest_w = w0[1:, None] * eps ** mistakes_before.astype(float)  # (trials, honest, N)
-    honest_total = honest_w.sum(axis=1)
-    honest_wrong = (honest_w * wrong).sum(axis=1)
-    adv_w = w0[0] * eps ** np.arange(n, dtype=float)  # over adversary mistake counts
-    # eps < 1, so stage k's smallest total weight is at k mistakes: the
-    # backward loop would first meet the largest stage k that underflows
-    underflow = np.flatnonzero(~np.all(adv_w + honest_total > 0.0, axis=0))
-    if underflow.size:
-        raise GuardError(
-            f"epsilon={eps} and N={n}: all weights underflow to 0 at stage {underflow[-1]}")
-    v = np.zeros((r.shape[0], n + 1))  # over adversary mistake counts 0..n at stage n
-    for k in range(n - 1, -1, -1):
-        total = adv_w[: k + 1] + honest_total[:, k, None]
-        lie = (adv_w[: k + 1] + honest_wrong[:, k, None]) / total + v[:, 1 : k + 2]
-        truth = honest_wrong[:, k, None] / total + v[:, : k + 1]
-        v = np.maximum(lie, truth)
-    return v[:, 0]
+    return _clairvoyant_forward(r.transpose(0, 2, 1), params)[:, -1].copy()
 
 
 def clairvoyant_value(realized_honest, params: KExpertParams) -> float:
@@ -580,28 +651,47 @@ def clairvoyant_value(realized_honest, params: KExpertParams) -> float:
     return float(clairvoyant_values(np.asarray(realized_honest)[None], params)[0])
 
 
+def monte_carlo_k_expert_values(
+    params: KExpertParams, trials: int, seed: int, horizons: Sequence[int]
+) -> list[MCResult]:
+    """Clairvoyant Monte Carlo estimates at each of ``horizons`` (each in
+    1..N), all read off one draw at horizon N: horizon r's realizations are
+    the first r stages of each trial's (see :func:`monte_carlo_k_expert`).
+    So the estimates share their trials: their per-trial losses are nested
+    prefixes, correlated across horizons, while each one's stderr is that
+    of ``trials`` independent trials.  Each block of ``_honest_outcomes``
+    takes one forward pass (:func:`_clairvoyant_forward`), and only the
+    requested horizons' losses are kept.
+    """
+    trials = _positive_int("trials", trials)
+    honest = params.n_experts - 1
+    n = params.horizon
+    cols = np.asarray(horizons, dtype=np.intp)
+    if cols.ndim != 1 or not np.all((cols >= 1) & (cols <= n)):
+        raise ValueError(f"horizons must lie in 1..{n}, got {list(horizons)}")
+    # stage s of expert i is cell s * (K-1) + i, so every prefix of stages is
+    # a prefix of cells
+    mus = np.tile(params.accuracies, n)
+    losses = np.concatenate([
+        _clairvoyant_forward(correct.reshape(-1, n, honest), params)[:, cols].T
+        for correct in _honest_outcomes(seed, mus, trials)
+    ], axis=1)
+    return [_mc_summary(row, trials, seed) for row in losses]
+
+
 def monte_carlo_k_expert(params: KExpertParams, trials: int, seed: int) -> MCResult:
     """Clairvoyant Monte Carlo estimate of the K-expert adversarial loss:
     sample honest realizations and let the adversary optimize against each
     known sequence (an upper bound on the online value that
     :func:`solve_k_expert` computes exactly).  Deterministic given the seed.
 
-    Trial t's realization is its row of ``_honest_outcomes`` over (K-1) x N
-    cells in row-major order: one random byte per cell, correct with
-    probability exactly that expert's accuracy, the tied bytes taking one
-    uniform each in row-major order; the first t trials do not depend on
-    ``trials``.
+    Trial t's realization is its row of ``_honest_outcomes`` over N x (K-1)
+    cells, stage-major (cell s (K-1) + i is expert i at stage s): one random
+    byte per cell, correct with probability exactly that expert's accuracy,
+    the tied bytes taking one uniform each in row-major order; the first t
+    trials do not depend on ``trials``.
     """
-    trials = _positive_int("trials", trials)
-    honest = params.n_experts - 1
-    n = params.horizon
-    # trial t's cells are its (K-1) x N realization in row-major order
-    mus = np.repeat(params.accuracies, n)
-    losses = np.concatenate([
-        clairvoyant_values(correct.reshape(-1, honest, n).astype(int), params)
-        for correct in _honest_outcomes(seed, mus, trials)
-    ])
-    return _mc_summary(losses, trials, seed)
+    return monte_carlo_k_expert_values(params, trials, seed, [params.horizon])[0]
 
 
 def no_info_conditional_losses(q: float, rho: float, mu: float) -> tuple[float, float]:

@@ -3,14 +3,16 @@
 Each check returns a :class:`CheckResult` with the measured worst deviation
 and the tolerance it was held to, so the report can show how much margin a
 passing build actually has.  The oracles: brute-force path enumeration for
-block-policy evaluation, and :func:`expectimax_value`, which replays raw
-weights without the offset lattice, for the online DPs.
+block-policy evaluation, :func:`expectimax_value`, which replays raw
+weights without the offset lattice, for the online DPs, and
+:func:`backward_clairvoyant_values`, one backward pass per horizon, for the
+clairvoyant forward pass that reads every horizon off one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterable
 
@@ -29,6 +31,7 @@ from .exact_eval import (
 )
 from .online_dp import (
     KExpertParams,
+    _clairvoyant_forward,
     no_information_values,
     optimal_policy,
     optimal_values,
@@ -36,7 +39,8 @@ from .online_dp import (
 )
 from .policies import OfflinePolicy, block_form, random_policy, ratio_policy
 
-__all__ = ["CheckResult", "expectimax_value", "run_all", "ALL_CHECKS"]
+__all__ = ["CheckResult", "expectimax_value", "backward_clairvoyant_values", "run_all",
+           "ALL_CHECKS"]
 
 _EPS_DEFAULT = math.exp(-1.0)
 
@@ -139,6 +143,43 @@ def check_online_oracle() -> CheckResult:
     return _worst_case("online-oracle", cases, 1e-12)
 
 
+def backward_clairvoyant_values(realized: np.ndarray, kp: KExpertParams) -> np.ndarray:
+    """Clairvoyant optimum of each realization (trials x (K-1) x N, 1 marking
+    a correct stage) at horizon N alone, by backward induction over the
+    adversary's mistake count: the same stage costs as the forward pass,
+    summed from the last stage back."""
+    wrong = 1.0 - np.asarray(realized, dtype=float)
+    n, eps, w0 = kp.horizon, kp.epsilon, np.array(kp.initial_weights)
+    honest_w = w0[1:, None] * eps ** (np.cumsum(wrong, axis=2) - wrong)
+    honest_total = honest_w.sum(axis=1)
+    honest_wrong = (honest_w * wrong).sum(axis=1)
+    adv_w = w0[0] * eps ** np.arange(n, dtype=float)
+    v = np.zeros((wrong.shape[0], n + 1))  # over adversary mistake counts 0..n at stage n
+    for k in range(n - 1, -1, -1):
+        total = adv_w[: k + 1] + honest_total[:, k, None]
+        lie = (adv_w[: k + 1] + honest_wrong[:, k, None]) / total + v[:, 1 : k + 2]
+        truth = honest_wrong[:, k, None] / total + v[:, : k + 1]
+        v = np.maximum(lie, truth)
+    return v[:, 0]
+
+
+def check_clairvoyant_forward() -> CheckResult:
+    """The clairvoyant forward pass, which reads every horizon off one pass,
+    against one backward pass per horizon on 64 fixed seeded realizations
+    of the ``multi-expert`` defaults' shape (K = 5, N = 40)."""
+    kp = KExpertParams(epsilon=_EPS_DEFAULT, horizon=40, accuracies=(0.3, 0.5, 0.6, 0.7),
+                       initial_weights=(1.0,) * 5)
+    realized = np.random.default_rng(1729).random((64, 4, 40)) < np.array(kp.accuracies)[:, None]
+    forward = _clairvoyant_forward(realized.transpose(0, 2, 1), kp)
+    cases = []
+    for n in range(1, kp.horizon + 1):
+        want = backward_clairvoyant_values(realized[:, :, :n], replace(kp, horizon=n))
+        deviation = np.abs(forward[:, n] - want) / want
+        t = int(np.argmax(deviation))
+        cases.append((float(deviation[t]), f"N={n} trial {t}"))
+    return _worst_case("clairvoyant-forward", cases, 1e-12)
+
+
 def check_residual_inequalities() -> CheckResult:
     """Sandwich inequalities of the log-telescoping residuals on a grid."""
     cases = []
@@ -212,6 +253,7 @@ def check_bounds_sandwich() -> CheckResult:
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_oracle_equivalence,
     check_online_oracle,
+    check_clairvoyant_forward,
     check_residual_inequalities,
     check_normal_approx_decay,
     check_dominance_chain,

@@ -12,6 +12,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,16 +21,20 @@ import pytest
 
 import mwadversary
 from mwadversary import (
+    KExpertParams,
     ModelParams,
+    clairvoyant_values,
     no_information_baseline,
     optimal_value,
     policy_value,
+    solve_k_expert,
     two_honest_value,
     verify,
 )
-from mwadversary import cli
+from mwadversary import cli, online_dp
 from mwadversary.cli import ConfigError, build_parser, main, parse_config_file, resolve_config
 from mwadversary.exact_eval import value_block_policy
+from mwadversary.online_dp import _honest_outcomes
 from mwadversary.output import fmt
 from mwadversary.policies import OfflinePolicy, block_form
 from mwadversary.verify import check_oracle_equivalence, run_all
@@ -340,6 +345,34 @@ class TestMultiExpertScenario:
         assert rows[1][exact_col] == ""   # N=20 above budget
         assert rows[0][header.index("rho_adv")] == "0.2"
 
+    def test_rows_read_prefixes_of_one_draw(self, tmp_path, monkeypatch):
+        """Each row's clairvoyant columns are those of the first n stages of
+        one draw at the largest horizon; the forward pass runs once per block
+        of trials and the exact solver once, whatever the number of rows."""
+        blocks, solves = [], []
+        forward, solve = online_dp._clairvoyant_forward, cli.solve_k_expert_values
+        monkeypatch.setattr(online_dp, "_clairvoyant_forward",
+                            lambda correct, kp: blocks.append(correct.shape) or forward(correct, kp))
+        monkeypatch.setattr(cli, "solve_k_expert_values",
+                            lambda kp: solves.append(kp.horizon) or solve(kp))
+        out = tmp_path / "me.csv"
+        assert main(["multi-expert", "--N", "12,4,8,3", "--trials", "300", "--seed", "5",
+                     "--exact_dp_max_n", "8", "--out", str(out)]) == 0
+        assert blocks == [(256, 12, 4), (44, 12, 4)] and solves == [8]
+        _, header, rows = read_csv(str(out))
+        assert [row[0] for row in rows] == ["12", "4", "8", "3"]
+        kp = KExpertParams(epsilon=math.exp(-1.0), horizon=12, accuracies=(0.5,) * 4,
+                           initial_weights=(1.0,) * 5)
+        draws = np.concatenate(list(_honest_outcomes(5, np.full(48, 0.5), 300)))
+        for row in rows:
+            n = int(row[0])
+            kn = replace(kp, horizon=n)
+            losses = clairvoyant_values(draws.reshape(300, 12, 4)[:, :n].transpose(0, 2, 1), kn)
+            assert row[header.index("v_k_clairvoyant")] == fmt(float(losses.mean()))
+            assert row[header.index("v_k_clairvoyant_stderr")] == fmt(
+                float(losses.std(ddof=1)) / math.sqrt(300))
+            assert row[header.index("v_k_exact_dp")] == (fmt(solve_k_expert(kn)) if n <= 8 else "")
+
     def test_heterogeneous_accuracies(self, tmp_path):
         out = tmp_path / "het.csv"
         rc = main(["multi-expert", "--N", "6", "--trials", "30",
@@ -354,12 +387,12 @@ class TestVerifyScenario:
         out = tmp_path / "verify.csv"
         assert main(["verify", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        assert stdout.count("[PASS]") == 6
+        assert stdout.count("[PASS]") == 7
         assert "[FAIL]" not in stdout
         _, header, rows = read_csv(str(out))
         assert header == ["check", "passed", "measured", "tolerance", "detail"]
         assert [row[0] for row in rows] == [
-            "oracle-equivalence", "online-oracle", "residual-inequalities",
+            "oracle-equivalence", "online-oracle", "clairvoyant-forward", "residual-inequalities",
             "normal-approx-decay", "dominance-chain", "bounds-sandwich",
         ]
         assert all(row[1] == "true" for row in rows)
@@ -405,6 +438,21 @@ class TestVerifyScenario:
         result = verify.check_online_oracle()
         assert result.passed is False
         assert result.detail == "solve_k_expert K=3 accuracies=(0.3, 0.7) N=8"
+
+    def test_detects_perturbed_clairvoyant_forward_pass(self, monkeypatch):
+        """A 1e-9 relative error in one horizon of the forward pass trips the
+        clairvoyant-forward check and names that horizon."""
+        forward = verify._clairvoyant_forward
+
+        def skewed(correct, kp):
+            out = forward(correct, kp)
+            out[:, 17] *= 1 + 1e-9
+            return out
+
+        monkeypatch.setattr(verify, "_clairvoyant_forward", skewed)
+        result = verify.check_clairvoyant_forward()
+        assert result.passed is False
+        assert result.measured > result.tolerance and result.detail.startswith("N=17 ")
 
     def test_passed_is_a_plain_bool(self):
         for res in run_all():

@@ -1,6 +1,7 @@
 """Backward-induction solvers, Monte Carlo harness, and baselines."""
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,7 @@ from mwadversary import (
     exhaustive_offline_optimum,
     mixed_policy_values,
     monte_carlo_k_expert,
+    monte_carlo_k_expert_values,
     mw_step,
     no_info_conditional_losses,
     no_information_baseline,
@@ -25,6 +27,7 @@ from mwadversary import (
     optimal_values,
     simulate_online,
     solve_k_expert,
+    solve_k_expert_values,
     solve_two_expert,
     system_prediction,
     weight_power,
@@ -35,11 +38,12 @@ from mwadversary.exact_eval import _offset_losses, _stage_costs
 from mwadversary.online_dp import (
     _backward,
     _byte_split,
+    _clairvoyant_forward,
     _full_row,
     _honest_outcomes,
     _reachable_actions,
 )
-from mwadversary.verify import expectimax_value
+from mwadversary.verify import backward_clairvoyant_values, expectimax_value
 
 E = math.e
 
@@ -542,6 +546,27 @@ def test_expectimax_one_stage_closed_form():
             assert expectimax_value(kp, q) == pytest.approx(lie, rel=1e-15)
 
 
+def _plain_k_expert_value(kp):
+    """The K-expert DP as plain whole-grid expressions, one new array per
+    operation: the reference of the reused-buffer solve."""
+    n, honest, eps, w0 = kp.horizon, kp.n_experts - 1, kp.epsilon, kp.initial_weights
+    v = np.zeros((2 * n + 1,) * honest)
+    for k in range(n - 1, -1, -1):
+        size = 2 * k + 1
+        axis_w = [(w0[1 + i] * eps ** np.arange(-k, k + 1)).reshape(
+            [size if a == i else 1 for a in range(honest)]) for i in range(honest)]
+        total_w = w0[0] + sum(axis_w)
+        wrong_w = sum((1.0 - mu) * a for mu, a in zip(kp.accuracies, axis_w))
+        ev_lie = ev_truth = v
+        for i, mu in enumerate(kp.accuracies):
+            def along(a, lo):
+                return a[(slice(None),) * i + (slice(lo, lo + size),)]
+            ev_lie = mu * along(ev_lie, 0) + (1.0 - mu) * along(ev_lie, 1)
+            ev_truth = mu * along(ev_truth, 1) + (1.0 - mu) * along(ev_truth, 2)
+        v = np.maximum((w0[0] + wrong_w) / total_w + ev_lie, wrong_w / total_w + ev_truth)
+    return float(v.reshape(-1)[0])
+
+
 class TestSolveKExpert:
     def test_two_expert_reduction(self):
         rng = np.random.default_rng(5)
@@ -578,6 +603,23 @@ class TestSolveKExpert:
         kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=accuracies,
                            initial_weights=weights)
         assert solve_k_expert(kp) == pytest.approx(expectimax_value(kp, None), rel=1e-12)
+
+    @pytest.mark.parametrize("accuracies, weights, epsilon, n", [
+        ((0.6,), (0.3, 0.7), 1 / E, 12),
+        ((0.3, 0.7), (1.0, 1.0, 1.0), 0.5, 9),
+        ((0.5,) * 4, (1.0,) * 5, 1 / E, 6),
+        ((0.3, 0.4, 0.6, 0.9), (2.0, 1.0, 0.5, 1.5, 1.0), 0.8, 5),
+    ])
+    def test_values_read_every_horizon(self, accuracies, weights, epsilon, n):
+        """Grid point 0 of stage N - r is the horizon-r solve, bit for bit, and
+        both are the plain per-stage expressions' value."""
+        kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=accuracies,
+                           initial_weights=weights)
+        values = solve_k_expert_values(kp)
+        assert values.shape == (n + 1,) and values[0] == 0.0
+        for r in range(1, n + 1):
+            kr = replace(kp, horizon=r)
+            assert values[r] == solve_k_expert(kr) == _plain_k_expert_value(kr)
 
     def test_guards(self):
         with pytest.raises(GuardError):
@@ -681,12 +723,55 @@ class TestClairvoyantValues:
 
     @pytest.mark.parametrize("trials", [1, 255, 256, 257, 777])
     def test_monte_carlo_blocks_equal_one_draw(self, trials):
+        """Trial t's cells are stage-major: cell 3s + i is expert i at stage s."""
         kp = KExpertParams(epsilon=1 / E, horizon=9, accuracies=(0.5, 0.7, 0.3),
                            initial_weights=(1.0,) * 4)
-        mus = [0.5] * 9 + [0.7] * 9 + [0.3] * 9
-        draws = _decoded_outcomes(11, mus, trials).reshape(trials, 3, 9).astype(int)
-        want = [clairvoyant_value(d, kp) for d in draws]
+        mus = [0.5, 0.7, 0.3] * 9
+        draws = _decoded_outcomes(11, mus, trials).reshape(trials, 9, 3).transpose(0, 2, 1)
+        want = [clairvoyant_value(d.astype(int), kp) for d in draws]
         assert np.array_equal(monte_carlo_k_expert(kp, trials, 11).per_trial, want)
+
+    @pytest.mark.parametrize("honest, n", [(1, 1), (1, 8), (2, 7), (3, 8), (4, 40), (2, 60)])
+    def test_forward_pass_reads_every_horizon(self, honest, n):
+        """Column r of the forward pass is ``clairvoyant_values`` of the first
+        r stages bit for bit, the per-horizon backward pass to 1e-12 relative
+        and, for N <= 8, the best of all 2^r replayed lie/truth sequences."""
+        kp = KExpertParams(epsilon=0.4, horizon=n, accuracies=(0.6, 0.3, 0.8, 0.5)[:honest],
+                           initial_weights=(1.0, 2.0, 0.5, 1.5, 1.0)[: honest + 1])
+        realized = np.random.default_rng(100 * n + honest).random((5, honest, n)) < 0.6
+        forward = _clairvoyant_forward(realized.transpose(0, 2, 1), kp)
+        assert forward.shape == (5, n + 1) and np.all(forward[:, 0] == 0.0)
+        for r in range(1, n + 1):
+            prefix, kr = realized[:, :, :r], replace(kp, horizon=r)
+            assert np.array_equal(forward[:, r], clairvoyant_values(prefix.astype(int), kr))
+            np.testing.assert_allclose(forward[:, r], backward_clairvoyant_values(prefix, kr),
+                                       rtol=1e-12, atol=0.0)
+            if n <= 8:
+                want = [replayed_clairvoyant_value(t.astype(int), kr) for t in prefix]
+                np.testing.assert_allclose(forward[:, r], want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("trials", [1, 256, 300])
+    def test_horizons_read_prefixes_of_one_draw(self, trials):
+        """Each horizon's per-trial losses are the clairvoyant values of the
+        first N stages of the longest horizon's draw, and the longest is
+        ``monte_carlo_k_expert``'s own."""
+        kp = KExpertParams(epsilon=1 / E, horizon=9, accuracies=(0.5, 0.7, 0.3),
+                           initial_weights=(1.0, 2.0, 0.5, 1.5))
+        horizons = [9, 2, 5]
+        got = monte_carlo_k_expert_values(kp, trials, 11, horizons)
+        draws = _decoded_outcomes(11, [0.5, 0.7, 0.3] * 9, trials).reshape(trials, 9, 3)
+        for n, res in zip(horizons, got):
+            want = clairvoyant_values(draws[:, :n].transpose(0, 2, 1).astype(int),
+                                      replace(kp, horizon=n))
+            assert np.array_equal(res.per_trial, want)
+            assert res.mean == want.mean() and res.trials == trials and res.seed == 11
+        assert np.array_equal(got[0].per_trial, monte_carlo_k_expert(kp, trials, 11).per_trial)
+
+    @pytest.mark.parametrize("horizons", [[0], [11], [3, 11], [[3]]])
+    def test_horizons_outside_the_draw_are_rejected(self, horizons):
+        kp = KExpertParams(epsilon=1 / E, horizon=10, accuracies=(0.5,), initial_weights=(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"horizons must lie in 1\.\.10"):
+            monte_carlo_k_expert_values(kp, 3, 1, horizons)
 
     def test_underflowing_weights_are_a_guard_violation(self):
         # at epsilon = 1e-9, 36 mistakes of every expert underflow all weights
