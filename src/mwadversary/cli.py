@@ -321,6 +321,13 @@ def run_eval_offline(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
         for i, name in enumerate(names)])
 
 
+def _row_key(seed: int, row: int) -> int:
+    """The Philox key of a CSV row's random stream, (seed + row * 2**64) mod
+    2**128: row 0 keeps ``seed``, and each later row moves the key's high
+    word, so no two rows of one call share a stream."""
+    return (seed + row * 2**64) % 2**128
+
+
 def run_solve_online(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "v_online", "sim_mean", "sim_stderr", "trials"]
     rows = []
@@ -330,7 +337,7 @@ def run_solve_online(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
             policy = optimal_policy(params)
             sim_mean = sim_err = None
             if cfg.trials > 0:
-                res = simulate_online(params, policy, cfg.trials, cfg.seed)
+                res = simulate_online(params, policy, cfg.trials, _row_key(cfg.seed, len(rows)))
                 sim_mean, sim_err = res.mean, res.stderr
             rows.append([n, mu, rho0, cfg.epsilon, policy.root_value, sim_mean, sim_err,
                          cfg.trials or None])
@@ -342,12 +349,13 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "v_false", "v_true", "v_ratio",
               "v_offline_opt", "v_online", "v_no_adversary", "v_no_info"]
     rows = []
-    for mu, rho0 in cfg.mu_rho_pairs:
-        # one backward pass, the no-adversary column, the no-information
-        # adjoint pass, one ratio-pair walk and one offline forward pass (to
-        # the largest horizon within offline_opt_max_n) hold every horizon
-        longest = _params(cfg, mu, rho0, max(cfg.horizons))
-        online = optimal_values(longest)
+    top = max(cfg.horizons)
+    # one backward pass steps every (mu, rho0) group together and holds every
+    # horizon of each; per group, the no-adversary column, the no-information
+    # adjoint pass, one ratio-pair walk and one offline forward pass (to the
+    # largest horizon within offline_opt_max_n) hold every horizon
+    groups = [_params(cfg, mu, rho0, top) for mu, rho0 in cfg.mu_rho_pairs]
+    for (mu, rho0), longest, online in zip(cfg.mu_rho_pairs, groups, optimal_values(groups)):
         opt_n = max((n for n in cfg.horizons if n <= cfg.offline_opt_max_n), default=0)
         offline = offline_optimum_values(_params(cfg, mu, rho0, opt_n)) if opt_n else []
         no_adversary = two_honest_values(longest)

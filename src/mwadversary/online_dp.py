@@ -11,7 +11,11 @@ keeps one bit (its action) per state; the full table, an ``OnlinePolicy``
 that also keeps values and ties, stays as ``BENCHMARK.json`` names
 ``solve_two_expert``.  The passes' oracle is ``verify.expectimax_value``.
 The backward pass costs a few whole-stage numpy calls per stage: one
-``mu * v`` product and two sums per action.  The Monte Carlo replay of a
+``mu * v`` product and two sums per action.  Problems of one horizon can
+share a pass (``compare`` solves all its (mu, rho0) groups in one): each
+stage is then an offset-major (window, m) array, so every call serves all m
+problems at the fixed cost of one, and each column keeps its own pass's
+bits.  The Monte Carlo replay of a
 policy reads only the offsets each stage can reach from offset 0, an
 interval that only widens (6 offsets over N = 8000 at mu = 1/2, eps =
 1/e), and looks up eight stages at a time: each distinct 8-stage action
@@ -106,7 +110,9 @@ def _saturated_bounds(lie_costs: np.ndarray, truth_costs: np.ndarray) -> tuple[i
     return min(lo0, 0), max(hi0, 0)
 
 
-def _backward(params: ModelParams) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+def _backward(
+    params: ModelParams | Sequence[ModelParams],
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """One backward pass at horizon N holding only the current stage (O(N)
     memory): for k = N-1..0, ``(k, start, v, lie, truth)``, stage k's optimal
     values and the expected continuation loss of lying and of telling the
@@ -116,24 +122,48 @@ def _backward(params: ModelParams) -> Iterator[tuple[int, int, np.ndarray, np.nd
     never the transitions.  Every yielded array is new, so a caller may keep
     it.
 
+    ``params`` is one problem, whose stages are 1-D arrays over offsets, or a
+    sequence of m problems of one horizon, stepped together: each stage is
+    an offset-major ``(window, m)`` array, cell (j, i) problem i at offset j,
+    so every shifted slice is one contiguous block.  Their stage costs are
+    stacked as ``(2N+1, m)``, and for m > 1 the mu and 1 - mu columns are
+    tiled once as ``(2N+3, m)`` and sliced per stage; a single problem keeps
+    scalar products.  Each cell is the same float expression on the same
+    inputs as in its problem's own pass, so every column is bit for bit that
+    pass.
+
     With r = N - k stages left the window is offsets max(-k, lo0 - r + 1) ..
-    min(k, hi0 + r - 1) (see :func:`_saturated_bounds`), and every offset
-    outside it holds the value, lie and truth of its edge cell (``_full_row``).
-    This is exact: a state past the edge meets only the constant costs of its
-    tail in its r stages, so by induction from the zero terminal stage it is
-    the same float expression on the same inputs as the edge cell.  The next
-    stage reads one or two cells past the window, filled with the edge cell;
-    a stage inside the full cone does the same numpy work as without a window.
+    min(k, hi0 + r - 1) (see :func:`_saturated_bounds`; over several
+    problems, the union of their windows), and every offset outside it holds
+    the value, lie and truth of its edge cell (``_full_row``).  This is
+    exact: a state past a problem's own edge meets only the constant costs
+    of its tail in its r stages, so by induction from the zero terminal
+    stage it is the same float expression on the same inputs as the edge
+    cell.  The next stage reads one or two cells past the window, filled
+    with the edge cell; a stage inside the full cone does the same numpy
+    work as without a window.
     """
-    n = params.horizon
-    mu = params.mu
-    lie_costs, truth_costs = _stage_costs(params)
-    lo0, hi0 = _saturated_bounds(lie_costs, truth_costs)
-    lo, hi = max(1 - n, lo0), min(n - 1, hi0)  # stage N - 1's window
-    v = np.zeros(hi - lo + 3)  # the terminal stage on offsets lo - 1..hi + 1
+    single = isinstance(params, ModelParams)
+    problems = [params] if single else list(params)
+    if not problems or any(p.horizon != problems[0].horizon for p in problems):
+        raise ValueError("a batched backward pass needs one or more problems of one horizon")
+    n = problems[0].horizon
+    costs = [_stage_costs(p) for p in problems]
+    lows, highs = zip(*(_saturated_bounds(*c) for c in costs))
+    lie_costs, truth_costs = costs[0] if single else (np.stack(c, axis=1) for c in zip(*costs))
+    tiled = len(problems) > 1
+    if tiled:
+        mus = np.array([p.mu for p in problems])
+        up_col, down_col = np.tile(mus, (2 * n + 3, 1)), np.tile(1.0 - mus, (2 * n + 3, 1))
+    else:
+        up_c, down_c = problems[0].mu, 1.0 - problems[0].mu
+    lo, hi = max(1 - n, min(lows)), min(n - 1, max(highs))  # stage N - 1's window
+    v = np.zeros((hi - lo + 3,) + lie_costs.shape[1:])  # the terminal stage on lo - 1..hi + 1
     for k in range(n - 1, -1, -1):
         window = slice(n + lo, n + hi + 1)
-        up, down = mu * v, (1.0 - mu) * v
+        if tiled:
+            up_c, down_c = up_col[: v.shape[0]], down_col[: v.shape[0]]
+        up, down = up_c * v, down_c * v
         lie = lie_costs[window] + up[2:]
         lie += down[1:-1]
         truth = truth_costs[window] + down[:-2]
@@ -143,10 +173,10 @@ def _backward(params: ModelParams) -> Iterator[tuple[int, int, np.ndarray, np.nd
         next_lo, next_hi = max(lo - 1, 1 - k), min(hi + 1, k - 1)
         pad_lo, pad_hi = lo - next_lo + 1, next_hi + 1 - hi
         if pad_lo or pad_hi:
-            buf = np.empty(hi - lo + 1 + pad_lo + pad_hi)
-            v = np.maximum(lie, truth, out=buf[pad_lo : buf.size - pad_hi])
+            buf = np.empty((hi - lo + 1 + pad_lo + pad_hi,) + v.shape[1:])
+            v = np.maximum(lie, truth, out=buf[pad_lo : buf.shape[0] - pad_hi])
             buf[:pad_lo] = v[0]
-            buf[buf.size - pad_hi :] = v[-1]
+            buf[buf.shape[0] - pad_hi :] = v[-1]
         else:
             v = buf = np.maximum(lie, truth)
         yield k, lo + k, v, lie, truth
@@ -236,14 +266,17 @@ def optimal_policy(params: ModelParams) -> OnlinePolicy:
     return OnlinePolicy(params, float(v[0]), _PackedActions(tuple(packed)))
 
 
-def optimal_values(params: ModelParams) -> np.ndarray:
+def optimal_values(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
     """Optimal online expected loss of every horizon r = 0..N from
     ``params.rho0``: ``out[r]`` equals ``solve_two_expert`` at horizon r
-    bit for bit, read off one pass at horizon N (offset 0 of stage N - r)."""
-    n = params.horizon
-    out = np.zeros(n + 1)
+    bit for bit, read off one pass at horizon N (offset 0 of stage N - r).
+    A sequence of m problems of one horizon N shares one pass and gives an
+    (m, N+1) array, row i bit for bit problem i's own pass."""
+    single = isinstance(params, ModelParams)
+    n = params.horizon if single else max((p.horizon for p in params), default=0)
+    out = np.zeros((n + 1,) if single else (len(params), n + 1))
     for k, start, v, _, _ in _backward(params):
-        out[n - k] = v[k - start]
+        out[..., n - k] = v[k - start]
     return out
 
 

@@ -124,20 +124,26 @@ def expectimax_value(kp: KExpertParams, loss: Callable[[float], float] | None) -
 def check_online_oracle() -> CheckResult:
     """The online DPs against the raw-weight expectimax, which never touches
     the offset lattice: two-expert values and played-policy roots on a grid
-    of (mu, rho0, epsilon, N), and the K-expert DP at K = 3."""
+    of (mu, rho0, epsilon, N), each (epsilon, N)'s (mu, rho0) problems also
+    as the rows of one batched ``optimal_values`` pass, and the K-expert DP
+    at K = 3."""
 
     def deviations(kp: KExpertParams, label: str, got: dict[str, float]) -> list:
         want = expectimax_value(kp, None)
         return [(abs(value - want) / want, f"{solver} {label}") for solver, value in got.items()]
 
     cases = []
-    for mu, rho0, eps, n in product((0.3, 0.5, 0.7), (0.2, 0.5), (_EPS_DEFAULT, 0.6), (1, 6, 12)):
-        p = ModelParams(epsilon=eps, mu=mu, horizon=n, rho0=rho0)
-        kp = KExpertParams(epsilon=eps, horizon=n, accuracies=(mu,), initial_weights=(rho0, 1.0 - rho0))
-        cases += deviations(kp, f"mu={mu} rho0={rho0} eps={eps:.4g} N={n}", {
-            "optimal_values": optimal_values(p)[-1],
-            "optimal_policy": optimal_policy(p).root_value,
-        })
+    pairs = list(product((0.3, 0.5, 0.7), (0.2, 0.5)))
+    for eps, n in product((_EPS_DEFAULT, 0.6), (1, 6, 12)):
+        problems = [ModelParams(epsilon=eps, mu=mu, horizon=n, rho0=rho0) for mu, rho0 in pairs]
+        for p, batched in zip(problems, optimal_values(problems)):
+            kp = KExpertParams(epsilon=eps, horizon=n, accuracies=(p.mu,),
+                               initial_weights=(p.rho0, 1.0 - p.rho0))
+            cases += deviations(kp, f"mu={p.mu} rho0={p.rho0} eps={eps:.4g} N={n}", {
+                "optimal_values": optimal_values(p)[-1],
+                "batched optimal_values": batched[-1],
+                "optimal_policy": optimal_policy(p).root_value,
+            })
     kp = KExpertParams(epsilon=_EPS_DEFAULT, horizon=8, accuracies=(0.3, 0.7), initial_weights=(1.0,) * 3)
     cases += deviations(kp, "K=3 accuracies=(0.3, 0.7) N=8", {"solve_k_expert": solve_k_expert(kp)})
     return _worst_case("online-oracle", cases, 1e-12)

@@ -262,6 +262,51 @@ def test_compare_makes_one_offline_pass_per_group_or_none(tmp_path, monkeypatch)
     assert calls == [12, 12]
 
 
+def test_compare_makes_one_backward_pass_over_all_groups(tmp_path, monkeypatch):
+    """The online column of every (mu, rho0) group comes from one backward
+    pass at the largest horizon, which steps all the groups together."""
+    calls = []
+    real = online_dp._backward
+
+    def counted(problems):
+        calls.append([(p.mu, p.rho0, p.horizon) for p in problems])
+        return real(problems)
+
+    monkeypatch.setattr(online_dp, "_backward", counted)
+    out = str(tmp_path / "cmp.csv")
+    assert main(["compare", "--N", "100,200", "--mu", "0.3,0.5,0.7", "--out", out]) == 0
+    assert calls == [[(0.3, 0.5, 200), (0.5, 0.5, 200), (0.7, 0.5, 200)]]
+    calls.clear()
+    assert main(["compare", "--N", "4,8", "--rho0", "0.2,0.6", "--out", out]) == 0
+    assert calls == [[(0.5, 0.2, 8), (0.5, 0.6, 8)]]
+
+
+def test_solve_online_rows_have_distinct_keys():
+    """Row i of solve-online draws from Philox key (seed + i * 2**64) mod
+    2**128: row 0 keeps the seed, so a one-row call draws what it always
+    did, and no two rows of one call share a stream."""
+    for seed in (0, 1729, 2**64 - 1, 2**128 - 1):
+        keys = [cli._row_key(seed, i) for i in range(50)]
+        assert keys[0] == seed
+        assert len(set(keys)) == len(keys)
+        assert all(0 <= key < 2**128 for key in keys)
+
+
+def test_solve_online_rows_draw_their_own_keys(tmp_path, monkeypatch):
+    calls = []
+    real = cli.simulate_online
+
+    def recorded(params, policy, trials, seed):
+        calls.append(seed)
+        return real(params, policy, trials, seed)
+
+    monkeypatch.setattr(cli, "simulate_online", recorded)
+    out = str(tmp_path / "so.csv")
+    assert main(["solve-online", "--N", "4,6", "--mu", "0.3,0.7", "--trials", "3",
+                 "--seed", "11", "--out", out]) == 0
+    assert calls == [cli._row_key(11, i) for i in range(4)]
+
+
 def test_python_m_mwadversary_version():
     proc = _run_module("--version")
     assert proc.returncode == 0
@@ -419,6 +464,18 @@ class TestVerifyScenario:
         result = verify.check_online_oracle()
         assert result.passed is False
         assert result.measured > result.tolerance
+
+    def test_detects_perturbed_batched_rows(self, monkeypatch):
+        """Each (epsilon, N)'s problems also run as one batched pass, checked
+        row by row: a 1e-9 relative error in the batched rows alone trips
+        the check."""
+        solve = verify.optimal_values
+        monkeypatch.setattr(verify, "optimal_values", lambda p: solve(p) * (
+            1 + 1e-9 if isinstance(p, list) else 1.0))
+        result = verify.check_online_oracle()
+        assert result.passed is False
+        assert result.measured > result.tolerance
+        assert result.detail.startswith("batched optimal_values ")
 
     def test_detects_perturbed_played_policy(self, monkeypatch):
         """The played policy's root value is checked on its own, not only

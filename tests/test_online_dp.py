@@ -42,6 +42,7 @@ from mwadversary.online_dp import (
     _full_row,
     _honest_outcomes,
     _reachable_actions,
+    _saturated_bounds,
 )
 from mwadversary.verify import backward_clairvoyant_values, expectimax_value
 
@@ -214,6 +215,67 @@ class TestSaturatedWindow:
         n = 2000
         sizes = [v.size for _, _, v, _, _ in _backward(params(horizon=n, epsilon=eps))]
         assert len(sizes) == n and sum(sizes) <= bound * n * n
+
+
+# (mu, rho0, epsilon, loss) of problems stepped together by one backward pass
+BATCHES = {
+    "mixed-bounds": [(0.3, 0.2, 0.6, None), (0.5, 0.5, 0.6, None), (0.7, 0.9, 0.6, None)],
+    "squared": [(mu, 0.5, 1 / E, LOSSES["squared"]) for mu in (0.3, 0.5, 0.7)],
+    "eps-0.99": [(0.3, 0.2, 0.99, None), (0.7, 0.5, 0.99, None)],
+    "one": [(0.3, 0.2, 0.6, None)],
+}
+
+
+class TestBatchedBackward:
+    """A sequence of problems of one horizon shares one backward pass on
+    offset-major (window, m) stages; every column is its problem's own pass
+    bit for bit."""
+
+    @staticmethod
+    def _problems(batch, n):
+        return [params(mu=mu, horizon=n, rho0=rho0, epsilon=eps, loss=loss)
+                for mu, rho0, eps, loss in BATCHES[batch]]
+
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_rows_are_the_per_problem_passes_bit_for_bit(self, batch, n):
+        problems = self._problems(batch, n)
+        rows = optimal_values(problems)
+        assert rows.shape == (len(problems), n + 1)
+        for p, row in zip(problems, rows):
+            assert np.array_equal(row.view(np.int64), optimal_values(p).view(np.int64))
+
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    def test_stages_are_the_per_problem_stages_bit_for_bit(self, batch):
+        """Each batched stage is an offset-major (window, m) array over the
+        union of the problems' windows; column i, expanded by its edge
+        cells, is problem i's stage.  The mixed batch's problems have
+        different saturated bounds."""
+        problems = self._problems(batch, 300)
+        if batch == "mixed-bounds":
+            assert len({_saturated_bounds(*_stage_costs(p)) for p in problems}) == len(problems)
+        singles = [list(_backward(p)) for p in problems]
+        for k, start, *arrays in _backward(problems):
+            for i, own in enumerate(singles):
+                k_own, own_start, *own_arrays = own[299 - k]
+                assert k_own == k
+                for got, want in zip(arrays, own_arrays):
+                    assert got.shape[1] == len(problems)
+                    assert np.array_equal(_full_row(got[:, i], k, start).view(np.int64),
+                                          _full_row(want, k, own_start).view(np.int64))
+
+    def test_mismatched_horizons_raise(self):
+        with pytest.raises(ValueError, match="one horizon"):
+            optimal_values([params(horizon=5), params(mu=0.3, horizon=6)])
+        with pytest.raises(ValueError, match="one horizon"):
+            next(_backward([params(horizon=5), params(horizon=4)]))
+        with pytest.raises(ValueError, match="one horizon"):
+            optimal_values([])
+
+    def test_single_problem_yields_1d_stages(self):
+        stages = list(_backward(params(mu=0.3, horizon=50, rho0=0.2)))
+        assert all(a.ndim == 1 for _, _, *arrays in stages for a in arrays)
+        assert optimal_values(params(horizon=50)).shape == (51,)
 
 
 class TestOptimalValue:
