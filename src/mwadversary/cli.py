@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -446,6 +447,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwadversary",

@@ -7,9 +7,10 @@ Q is solved, as it enters only through each offset's one-stage costs.  State
 (k, j) of a horizon-N solve is the start of a horizon N-k problem shifted by
 offset j, so the values-only pass keeps one stage in O(N) memory and reads
 the optimum of every horizon 0..N off offset 0 as it goes; a played policy
-keeps one bit (its action) per state; the full table, an ``OnlinePolicy``
-that also keeps values and ties, stays as ``BENCHMARK.json`` names
-``solve_two_expert``.  The passes' oracle is ``verify.expectimax_value``.
+keeps one bit (its action) per state that a play from offset 0 can reach;
+the full table, an ``OnlinePolicy`` that also keeps every state's action,
+value and tie flag, stays as ``BENCHMARK.json`` names ``solve_two_expert``.
+The passes' oracle is ``verify.expectimax_value``.
 The backward pass costs a few whole-stage numpy calls per stage: one
 ``mu * v`` product and two sums per action.  Problems of one horizon can
 share a pass (``compare`` solves all its (mu, rho0) groups in one): each
@@ -54,12 +55,12 @@ stderr is still that of its independent trials.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GuardError, ModelParams, _check_epsilon, _positive_int
+from .core import GuardError, ModelParams, _check_epsilon, _is_count, _positive_int
 from .exact_eval import _offset_losses, _stage_costs
 
 __all__ = [
@@ -196,34 +197,25 @@ def _full_row(a: np.ndarray, k: int, start: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _PackedActions(Sequence):
-    """Actions packed eight to a byte: ``[k]`` unpacks stage k's 2k+1 bools (offset j at j + k)."""
-
-    packed: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        k = range(len(self.packed))[k]
-        return np.unpackbits(self.packed[k], count=2 * k + 1).view(bool)
-
-
-@dataclass(frozen=True, eq=False)
 class OnlinePolicy:
-    """The optimal online adversary as played: root value and per-state
-    actions; the full table :class:`ValueTable` is one that also keeps values
-    and ties."""
+    """The optimal online adversary as played: its root value and, per stage
+    k, the offsets lo[k]..hi[k] a play from offset 0 can reach and its lie
+    bits there, one ``actions`` row per stage over lo[-1]..hi[-1] (bit s,
+    big-endian, is offset lo[-1] + s; zero elsewhere and in the rows that pad
+    N to whole 8-stage blocks).  :class:`ValueTable` also keeps every state's
+    action, value and tie flag."""
 
     params: ModelParams
     root_value: float
-    lie_optimal: Sequence[np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
+    actions: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class ValueTable(OnlinePolicy):
-    """An :class:`OnlinePolicy` that also keeps its values and ties, kept as
-    ``BENCHMARK.json`` names :func:`solve_two_expert`.
+    """An :class:`OnlinePolicy` that also keeps every state's action, value
+    and tie flag, kept as ``BENCHMARK.json`` names :func:`solve_two_expert`.
 
     ``values[k]`` holds the optimal continuation loss at stage k for offsets
     j = -k..k (index j + k), as ``lie_optimal[k]`` the action (ties lie) and
@@ -233,6 +225,7 @@ class ValueTable(OnlinePolicy):
     its edge cells, which hold the same bits (see ``_backward``).
     """
 
+    lie_optimal: list[np.ndarray]
     values: list[np.ndarray]
     tie_flags: list[np.ndarray]
     states_evaluated: int
@@ -240,7 +233,8 @@ class ValueTable(OnlinePolicy):
 
 def solve_two_expert(params: ModelParams) -> ValueTable:
     """Fill the two-expert value table by backward induction over offsets,
-    keeping every stage's values, maximizing actions and tie flags."""
+    keeping every stage's values, maximizing actions and tie flags; its
+    played rows are :func:`optimal_policy`'s bit for bit."""
     n = params.horizon
     values: list[np.ndarray] = [np.empty(0)] * n + [np.zeros(2 * n + 1)]
     lie_optimal: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
@@ -254,16 +248,18 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
         scale = np.maximum(1.0, np.maximum(np.abs(lie), np.abs(truth)))
         tie_flags[k] = np.abs(diff) <= _TIE_TOL * scale
         states += 2 * k + 1
-    return ValueTable(params, float(values[0][0]), lie_optimal, values, tie_flags, states)
+    played = _reachable_actions(map(np.packbits, lie_optimal), n)
+    return ValueTable(params, float(values[0][0]), *played, lie_optimal, values, tie_flags, states)
 
 
 def optimal_policy(params: ModelParams) -> OnlinePolicy:
-    """The optimal online policy, its actions packed eight to a byte; root
-    value and actions equal ``solve_two_expert``'s bit for bit."""
+    """The optimal online policy, equal to ``solve_two_expert``'s bit for
+    bit.  Each stage's full row is packed while the backward pass runs; only
+    the reachable bits are kept (0.14 MB at N = 8000, mu = 1/2, not 8 MB)."""
     packed: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * params.horizon
     for k, start, v, lie, truth in _backward(params):
         packed[k] = np.packbits(_full_row(lie >= truth, k, start))
-    return OnlinePolicy(params, float(v[0]), _PackedActions(tuple(packed)))
+    return OnlinePolicy(params, float(v[0]), *_reachable_actions(packed, params.horizon))
 
 
 def optimal_values(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
@@ -353,21 +349,20 @@ def _mc_summary(losses: np.ndarray, trials: int, seed: int) -> MCResult:
     return MCResult(trials, float(losses.mean()), sd / math.sqrt(trials), seed, losses)
 
 
-def _reachable_actions(policy: OnlinePolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a replay of ``policy`` from offset 0 can be, and its actions there.
+def _reachable_actions(
+    packed: Iterable[np.ndarray], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The played rows of a policy from its N full rows ``packed`` (row k
+    holds stage k's 2k+1 actions, offset j at bit j + k, as ``np.packbits``
+    packs them): the ``lo``, ``hi`` and ``actions`` of an
+    :class:`OnlinePolicy`.
 
     Stage k reaches exactly the offsets lo_k..hi_k: every offset can stay put
     (a wrong lie, a right truth), so lo_{k+1} = lo_k - (truth at lo_k) and
     hi_{k+1} = hi_k + (lie at hi_k).  So lo falls and hi rises, and their
-    union is L..H = lo[-1]..hi[-1].  Returns lo and hi (one entry per stage)
-    and the actions packed over L..H, one row per stage (bit s, big-endian,
-    is offset L + s), zero outside lo_k..hi_k, with zero rows after stage
-    N - 1 up to a whole number of 8-stage blocks.  A packed policy is read
-    only in the bytes that cover lo_k..hi_k, and no full row is kept.
+    union is lo[-1]..hi[-1].  Each row is read only in the bytes that cover
+    lo_k..hi_k.
     """
-    actions, n = policy.lie_optimal, policy.params.horizon
-    packed = (actions.packed if isinstance(actions, _PackedActions)
-              else map(np.packbits, actions))
     # every buffer at its final size: grown ones fragment the heap of a long run
     lo, hi, bits = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), [0] * n
     a = b = 0  # lo_k + k and hi_k + k, stage k's row indices
@@ -425,8 +420,8 @@ def simulate_online(
     4i + lie + 2 * correct of one flat table, at offset index i: Q(1 -
     rho_j), Q(1), Q(0) or Q(rho_j).
 
-    The replay sees only the offsets each stage can reach
-    (``_reachable_actions``), a few at eps = 1/e.  It deduplicates the
+    The replay reads the policy's stored rows as they are: only the offsets
+    each stage can reach, a few at eps = 1/e.  It deduplicates the
     blocks' action patterns and, for each, maps a start offset and an
     outcome byte to the block's eight stage losses and end offset
     (``_block_maps``), so a block costs two gathers.  Each trial still adds
@@ -442,7 +437,7 @@ def simulate_online(
     trials = _positive_int("trials", trials)
     n = params.horizon
     blocks = -(-n // 8)
-    lo, hi, actions = _reachable_actions(policy)
+    lo, hi, actions = policy.lo, policy.hi, policy.actions
     low, width = int(lo[-1]), int(hi[-1] - lo[-1] + 1)
     # stage 8b + t of a trial is bit 7 - t of its byte in row b
     outcomes = np.empty((blocks, trials), dtype=np.uint8)
@@ -699,9 +694,11 @@ def monte_carlo_k_expert_values(
     trials = _positive_int("trials", trials)
     honest = params.n_experts - 1
     n = params.horizon
-    cols = np.asarray(horizons, dtype=np.intp)
-    if cols.ndim != 1 or not np.all((cols >= 1) & (cols <= n)):
-        raise ValueError(f"horizons must lie in 1..{n}, got {list(horizons)}")
+    cols = np.asarray(horizons)
+    if cols.ndim != 1 or cols.dtype.kind not in "biuf" or not all(
+            _is_count(h) and 1 <= h <= n for h in cols.tolist()):
+        raise ValueError(f"horizons must lie in 1..{n} and be whole numbers, got {cols.tolist()}")
+    cols = cols.astype(np.intp)
     # stage s of expert i is cell s * (K-1) + i, so every prefix of stages is
     # a prefix of cells
     mus = np.tile(params.accuracies, n)

@@ -307,6 +307,22 @@ def test_solve_online_rows_draw_their_own_keys(tmp_path, monkeypatch):
     assert calls == [cli._row_key(11, i) for i in range(4)]
 
 
+def test_parser_is_built_once_and_not_at_import(tmp_path):
+    """The parser is built on the first ``build_parser`` call, not at import
+    (which ``setup_s`` times), and reused; two ``main`` calls in a row each
+    parse their own arguments."""
+    src = str(Path(mwadversary.__file__).resolve().parents[1])
+    probe = "import mwadversary.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stdout == "0\n"
+    assert build_parser() is build_parser()
+    for n in ("4", "6"):
+        out = tmp_path / f"{n}.csv"
+        assert main(["compare", "--N", n, "--out", str(out)]) == 0
+        assert [row[0] for row in read_csv(out)[2]] == [n]
+
+
 def test_python_m_mwadversary_version():
     proc = _run_module("--version")
     assert proc.returncode == 0

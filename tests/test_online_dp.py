@@ -41,7 +41,6 @@ from mwadversary.online_dp import (
     _clairvoyant_forward,
     _full_row,
     _honest_outcomes,
-    _reachable_actions,
     _saturated_bounds,
 )
 from mwadversary.verify import backward_clairvoyant_values, expectimax_value
@@ -174,6 +173,11 @@ def _full_cone_backward(p):
         yield k, v, lie, truth
 
 
+def _same_played_rows(a, b):
+    """Whether two policies store the same reachable intervals and rows."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("lo", "hi", "actions"))
+
+
 WINDOW_GRID = list(product((0.1, 0.3, 0.5, 0.93), (1e-12, 0.05, 0.5, 0.9, 1 - 1e-9), LOSSES))
 
 
@@ -184,15 +188,17 @@ class TestSaturatedWindow:
 
     @staticmethod
     def _check(p):
-        policy, ref_values = optimal_policy(p), np.zeros(p.horizon + 1)
+        policy, table = optimal_policy(p), solve_two_expert(p)
+        ref_values = np.zeros(p.horizon + 1)
         for (k, start, *arrays), (k_ref, *ref) in zip(_backward(p), _full_cone_backward(p),
                                                       strict=True):
             assert k == k_ref
             for got, want in zip(arrays, ref):
                 assert np.array_equal(_full_row(got, k, start), want)
-            assert np.array_equal(policy.lie_optimal.packed[k], np.packbits(ref[1] >= ref[2]))
+            assert np.array_equal(table.lie_optimal[k], ref[1] >= ref[2])
             ref_values[p.horizon - k] = ref[0][k]
-        assert policy.root_value == ref[0][0]
+        assert policy.root_value == table.root_value == ref[0][0]
+        assert _same_played_rows(policy, table)
         assert np.array_equal(optimal_values(p), ref_values)
 
     @pytest.mark.parametrize("eps", [1e-3, 1 / E, 0.6, 0.9, 0.99],
@@ -200,8 +206,9 @@ class TestSaturatedWindow:
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
     def test_window_is_the_full_cone_bit_for_bit(self, eps, n):
         """Each windowed stage, expanded by its edge cells, is the full-cone
-        Bellman step bit for bit, as are the root value, the packed actions
-        and every horizon's value, on extreme weights and every test loss."""
+        Bellman step bit for bit, as are the root value, the table's actions,
+        the policy's played rows and every horizon's value, on extreme
+        weights and every test loss."""
         for mu, rho0, loss in WINDOW_GRID:
             self._check(params(mu=mu, horizon=n, rho0=rho0, epsilon=eps, loss=LOSSES[loss]))
 
@@ -442,17 +449,29 @@ class TestOptimalPolicy:
     @pytest.mark.parametrize("rho0", [0.05, 0.5, 0.9])
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
     def test_matches_value_table(self, mu, rho0, n):
-        """Root value and every stage's actions, tie states included, are
-        the full table's bit for bit."""
+        """Root value and played rows are the full table's bit for bit, and
+        stage k's row holds the table's actions, tie states included, on
+        its reachable offsets lo_k..hi_k."""
         p = params(mu=mu, horizon=n, rho0=rho0)
         policy, table = optimal_policy(p), solve_two_expert(p)
         assert isinstance(table, OnlinePolicy) and policy.params == table.params == p
         assert policy.root_value == table.root_value
-        assert len(policy.lie_optimal) == n
+        assert _same_played_rows(policy, table)
+        lo, hi = policy.lo, policy.hi
+        assert lo.shape == hi.shape == (n,)
         for k in range(n):
-            got = policy.lie_optimal[k]
-            assert got.dtype == bool and np.array_equal(got, table.lie_optimal[k])
-        assert np.array_equal(policy.lie_optimal[-1], table.lie_optimal[-1])
+            bits = np.unpackbits(policy.actions[k], count=hi[-1] - lo[-1] + 1).view(bool)
+            assert np.array_equal(bits[lo[k] - lo[-1] : hi[k] - lo[-1] + 1],
+                                  table.lie_optimal[k][lo[k] + k : hi[k] + k + 1])
+
+    @pytest.mark.parametrize("eps", [1 / E, 0.9, 0.99], ids=["1/e", "0.9", "0.99"])
+    @pytest.mark.parametrize("n", [1, 8, 9, 301])
+    def test_one_format_for_both_solvers(self, eps, n):
+        """The lean policy and the full table store the same played rows, on
+        extreme weights, every test loss and the widest intervals."""
+        for mu, rho0, loss in WINDOW_GRID:
+            p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps, loss=LOSSES[loss])
+            assert _same_played_rows(optimal_policy(p), solve_two_expert(p))
 
     @pytest.mark.parametrize("mu,rho0,loss", [
         pytest.param(0.3, 0.5, None, id="0.3-0.5"),
@@ -477,16 +496,19 @@ class TestOptimalPolicy:
 
     @pytest.mark.parametrize("n", [1, 7, 60, 301, 1000])
     def test_actions_are_packed_bits(self, n):
-        """The stored actions total at most N^2/8 + N bytes, one bit per
-        state plus at most one partial byte per stage."""
-        packed = optimal_policy(params(horizon=n)).lie_optimal.packed
-        assert sum(a.nbytes for a in packed) <= n * n / 8 + n
+        """The stored actions take one bit per stage and reachable offset:
+        ceil(N/8)*8 rows of ceil(W/8) bytes, W = hi[-1] - lo[-1] + 1."""
+        policy = optimal_policy(params(horizon=n))
+        width = int(policy.hi[-1] - policy.lo[-1]) + 1
+        assert policy.actions.dtype == np.uint8
+        assert policy.actions.nbytes == -(-n // 8) * 8 * -(-width // 8)
 
 
-def _per_stage_replay(p, policy, trials, seed):
-    """The replay as one step per stage on full action rows, every trial's
-    outcomes drawn at once: every trial's loss, added stage by stage from
-    the flat loss table, and each stage's lowest and highest offset."""
+def _per_stage_replay(p, lie_rows, trials, seed):
+    """The replay as one step per stage on the full action rows
+    ``lie_rows`` (a table's ``lie_optimal``), every trial's outcomes drawn
+    at once: every trial's loss, added stage by stage from the flat loss
+    table, and each stage's lowest and highest offset."""
     n = p.horizon
     correct = np.concatenate(list(_honest_outcomes(seed, np.full(n, p.mu), trials)))
     q_lie, q_truth = _offset_losses(p, p.rho0)
@@ -495,10 +517,19 @@ def _per_stage_replay(p, policy, trials, seed):
     j, loss, seen = np.zeros(trials, dtype=np.intp), np.zeros(trials), np.empty((n, 2), int)
     for k in range(n):
         seen[k] = j.min(), j.max()
-        code = policy.lie_optimal[k].view(np.uint8)[j + k] + 2 * correct[:, k]
+        code = lie_rows[k].view(np.uint8)[j + k] + 2 * correct[:, k]
         loss += table[4 * (j + n) + code]
         j += np.array([-1, 0, 0, 1])[code]
     return loss, seen
+
+
+def _lie_rows(p):
+    """``solve_two_expert(p).lie_optimal`` without the values and ties, for
+    a horizon whose full table is too large to hold (640 MB at N = 8000)."""
+    rows = [np.empty(0, dtype=bool)] * p.horizon
+    for k, start, _, lie, truth in _backward(p):
+        rows[k] = _full_row(lie >= truth, k, start)
+    return rows
 
 
 @pytest.fixture
@@ -530,8 +561,9 @@ class TestBlockReplay:
         grid = [*WINDOW_GRID, *product((0.3, 0.93), (0.5,), ["math.sqrt"])]
         for mu, rho0, loss in grid:
             p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps, loss=losses[loss])
-            for policy in (optimal_policy(p), solve_two_expert(p)):
-                want, _ = _per_stage_replay(p, policy, 37, 11)
+            table = solve_two_expert(p)
+            want, _ = _per_stage_replay(p, table.lie_optimal, 37, 11)
+            for policy in (optimal_policy(p), table):
                 assert np.array_equal(simulate_online(p, policy, 37, 11).per_trial, want)
         if budget == "none":
             assert not map_shapes
@@ -547,31 +579,53 @@ class TestBlockReplay:
         most eight offsets."""
         p = params(mu=0.5, horizon=8000)
         policy = optimal_policy(p)
-        want, seen = _per_stage_replay(p, policy, 2000, 3)
+        want, seen = _per_stage_replay(p, _lie_rows(p), 2000, 3)
         assert np.array_equal(simulate_online(p, policy, 2000, 3).per_trial, want)
         [(patterns, _, width)] = map_shapes
         assert width <= 8 and patterns * width * 256 <= online_dp._BLOCK_MAP_CELLS
-        lo, hi, _ = _reachable_actions(policy)
+        lo, hi = policy.lo, policy.hi
         assert np.all((lo <= seen[:, 0]) & (seen[:, 1] <= hi)) and hi[-1] - lo[-1] < 8
+
+    @pytest.mark.parametrize("budget", ["module", "none"])
+    def test_replay_reads_the_stored_rows(self, monkeypatch, budget):
+        """The replay derives nothing from a policy: with the interval pass
+        made to raise once the policies are built, both paths still play the
+        oracle's per-trial losses."""
+        built = []
+        for mu, n, eps in product((0.3, 0.5, 0.93), (9, 301), (1 / E, 0.99)):
+            p = params(mu=mu, horizon=n, epsilon=eps)
+            built.append((p, optimal_policy(p), solve_two_expert(p)))
+
+        def derive(*args):
+            raise AssertionError("the replay derived the played rows")
+
+        monkeypatch.setattr(online_dp, "_reachable_actions", derive)
+        if budget == "none":
+            monkeypatch.setattr(online_dp, "_BLOCK_MAP_CELLS", 0)
+        for p, policy, table in built:
+            want, _ = _per_stage_replay(p, table.lie_optimal, 37, 11)
+            for played in (policy, table):
+                assert np.array_equal(simulate_online(p, played, 37, 11).per_trial, want)
 
     @pytest.mark.parametrize("eps", [1 / E, 0.9, 0.99], ids=["1/e", "0.9", "0.99"])
     @pytest.mark.parametrize("n", [1, 9, 60, 301])
     def test_reachable_interval_is_sound_and_exact(self, n, eps):
         """Every trial of the per-stage replay sits inside stage k's interval
         lo_k..hi_k, which is the set of offsets that some outcome sequence
-        reaches; the packed rows hold the actions there and zero elsewhere."""
+        reaches; the table's played rows hold its actions there and zero
+        elsewhere."""
         for mu, rho0, _ in WINDOW_GRID[:: len(LOSSES)]:
             p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps)
-            policy = optimal_policy(p)
-            lo, hi, rows = _reachable_actions(policy)
-            _, seen = _per_stage_replay(p, policy, 200, 5)
+            table = solve_two_expert(p)
+            lo, hi, rows = table.lo, table.hi, table.actions
+            _, seen = _per_stage_replay(p, table.lie_optimal, 200, 5)
             assert np.all((lo <= seen[:, 0]) & (seen[:, 1] <= hi))
             assert rows.shape == (-(-n // 8) * 8, (hi[-1] - lo[-1] + 8) // 8)
             assert not rows[n:].any()
             reach = {0}
             for k in range(n):
                 assert reach == set(range(lo[k], hi[k] + 1))
-                full = policy.lie_optimal[k]
+                full = table.lie_optimal[k]
                 bits = np.unpackbits(rows[k], count=hi[-1] - lo[-1] + 1).astype(bool)
                 offsets = np.arange(lo[-1], hi[-1] + 1)
                 inside = (lo[k] <= offsets) & (offsets <= hi[k])
@@ -829,11 +883,20 @@ class TestClairvoyantValues:
             assert res.mean == want.mean() and res.trials == trials and res.seed == 11
         assert np.array_equal(got[0].per_trial, monte_carlo_k_expert(kp, trials, 11).per_trial)
 
-    @pytest.mark.parametrize("horizons", [[0], [11], [3, 11], [[3]]])
+    @pytest.mark.parametrize("horizons", [[0], [11], [3, 11], [[3]], 5])
     def test_horizons_outside_the_draw_are_rejected(self, horizons):
         kp = KExpertParams(epsilon=1 / E, horizon=10, accuracies=(0.5,), initial_weights=(1.0, 1.0))
         with pytest.raises(ValueError, match=r"horizons must lie in 1\.\.10"):
             monte_carlo_k_expert_values(kp, 3, 1, horizons)
+
+    @pytest.mark.parametrize("horizon", [2.5, math.inf, math.nan, "3"])
+    def test_horizons_that_are_not_whole_numbers_are_rejected(self, horizon):
+        """A fractional horizon is not cut to a whole one (2.5 is not read
+        as 2), and inf, NaN and text are a ValueError, not an OverflowError
+        or a TypeError."""
+        kp = KExpertParams(epsilon=1 / E, horizon=10, accuracies=(0.5,), initial_weights=(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"horizons must lie in 1\.\.10 and be whole numbers"):
+            monte_carlo_k_expert_values(kp, 3, 1, [3, horizon])
 
     def test_underflowing_weights_are_a_guard_violation(self):
         # at epsilon = 1e-9, 36 mistakes of every expert underflow all weights
