@@ -60,6 +60,14 @@ def _is_count(x) -> bool:
     return 0 <= x < math.inf and int(x) == x
 
 
+def _counts_in(values: np.ndarray, low: int, high: int) -> bool:
+    """Whether ``values`` (an ``np.asarray`` of the input) is 1-D and numeric
+    and every entry a whole number in low..high: a scalar, text, inf and NaN
+    are not (horizon lists)."""
+    return values.ndim == 1 and values.dtype.kind in "biuf" and all(
+        _is_count(x) and low <= x <= high for x in values.tolist())
+
+
 def _positive_int(name: str, x) -> int:
     """``x`` as an int, if it is a whole number >= 1; a ValueError naming
     ``name`` otherwise, inf and NaN too (horizons, trial counts)."""

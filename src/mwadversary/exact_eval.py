@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinomialDist, GuardError, ModelParams, _is_count, binomial, weight_power
+from .core import (BinomialDist, GuardError, ModelParams, _counts_in, _is_count, binomial,
+                   weight_power)
 from .policies import BlockForm, OfflinePolicy, _ratio_pair, block_form
 
 __all__ = [
@@ -237,8 +238,9 @@ def value_block_policy(blocks: BlockForm, params: ModelParams) -> float:
 
 
 def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> np.ndarray:
-    """Expected loss of ``ratio_policy`` at every horizon in ``horizons``
-    (each in 2..``params.horizon``), bit for bit ``policy_value`` of each.
+    """Expected loss of ``ratio_policy`` at every horizon in ``horizons`` (a
+    1-D sequence, each a whole number in 2..``params.horizon``), bit for bit
+    ``policy_value`` of each.
 
     All share the (b lies, a truths) prefix pairs, and horizon N is p pairs
     then one lie run, so one walk over the pairs serves every horizon: on
@@ -246,10 +248,10 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
     convolving the law through it.  The pair's two laws are built once for
     the walk.
     """
-    ns = list(horizons)
-    if not all(_is_count(n) and 2 <= n <= params.horizon for n in ns):
-        raise ValueError(f"horizons must be integers in [2, {params.horizon}], got {ns}")
-    ns = [int(n) for n in ns]
+    ns = np.asarray(horizons)
+    if not _counts_in(ns, 2, params.horizon):
+        raise ValueError(f"horizons must be integers in [2, {params.horizon}], got {ns.tolist()}")
+    ns = ns.astype(int).tolist()
     mu, losses = params.mu, _offset_losses(params, params.rho0)
     b, a, _ = _ratio_pair(mu, max_denominator, params.horizon)
     pairs = [_ratio_pair(mu, max_denominator, n)[2] for n in ns]

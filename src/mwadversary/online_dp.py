@@ -30,13 +30,15 @@ Past |j| of about 37 (eps = 1/e, rho0 = 1/2), rho_j rounds to 0 or 1 and
 both stage costs are exactly constant, so the backward pass evaluates only a
 window of each stage, about half of the N^2 states: every offset outside it
 holds its edge cell's value, lie and truth, as the same float expression on
-the same inputs (``_backward``); each reader expands the window to the full
-row.
+the same inputs (``_backward``).  The table expands each window to the full
+row; a played policy packs its action bits over the window only, and its
+interval pass reads an offset past a window's edge as the edge cell.
 Both Monte Carlo harnesses draw each honest outcome from one random byte
 (``_honest_outcomes``): P(correct) = mu exactly, a trial's outcomes do not
 depend on how many trials follow it, and the few bytes that tie with 256 mu
-take one uniform each, in row-major cell order.  The replay keeps them one
-bit per (trial, stage), eight stages to a byte.
+take one uniform each, in row-major cell order.  They are drawn in blocks of
+at most ``_DRAW_CELLS`` cells (one trial if it alone has more), and the
+replay keeps them one bit per (trial, stage), eight stages to a byte.
 Also here: the exact K-expert model on a mistake-count grid (one two-point
 average per honest expert, along its axis), whose grid point 0 at stage k
 holds the optimum of horizon N - k, so one solve gives every horizon; a
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GuardError, ModelParams, _check_epsilon, _is_count, _positive_int
+from .core import GuardError, ModelParams, _check_epsilon, _counts_in, _positive_int
 from .exact_eval import _offset_losses, _stage_costs
 
 __all__ = [
@@ -85,9 +87,10 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
-# trials per block of honest outcomes (one random byte per cell, exact P = mu, tie
-# uniforms in row-major order); no outcome depends on it or on the trials after its own
-_TRIAL_CHUNK = 256
+# cells per block of honest outcomes (one random byte each, exact P = mu, tie uniforms in
+# row-major order): a block holds as many whole trials as fit, at least one, so 65 trials
+# (0.5 MB) at N = 8000; no outcome depends on it or on the trials after its own
+_DRAW_CELLS = 1 << 19
 # cells of a replay's block maps (distinct 8-stage action patterns x reachable offsets x
 # 256 outcome bytes, 72 bytes each, so at most 19 MB) beyond which it replays stage by
 # stage instead
@@ -248,17 +251,20 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
         scale = np.maximum(1.0, np.maximum(np.abs(lie), np.abs(truth)))
         tie_flags[k] = np.abs(diff) <= _TIE_TOL * scale
         states += 2 * k + 1
-    played = _reachable_actions(map(np.packbits, lie_optimal), n)
+    played = _reachable_actions(((0, 2 * k + 1, np.packbits(row))
+                                 for k, row in enumerate(lie_optimal)), n)
     return ValueTable(params, float(values[0][0]), *played, lie_optimal, values, tie_flags, states)
 
 
 def optimal_policy(params: ModelParams) -> OnlinePolicy:
     """The optimal online policy, equal to ``solve_two_expert``'s bit for
-    bit.  Each stage's full row is packed while the backward pass runs; only
-    the reachable bits are kept (0.14 MB at N = 8000, mu = 1/2, not 8 MB)."""
-    packed: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * params.horizon
+    bit.  While the backward pass runs, each stage's actions are packed
+    over its window only (about 4 MB at N = 8000, mu = 1/2, not the 8 MB
+    of full rows); the interval pass then keeps only the reachable bits
+    (0.14 MB)."""
+    packed: list[tuple[int, int, np.ndarray]] = [(0, 0, np.empty(0, np.uint8))] * params.horizon
     for k, start, v, lie, truth in _backward(params):
-        packed[k] = np.packbits(_full_row(lie >= truth, k, start))
+        packed[k] = start, lie.shape[0], np.packbits(lie >= truth)
     return OnlinePolicy(params, float(v[0]), *_reachable_actions(packed, params.horizon))
 
 
@@ -305,8 +311,9 @@ def _byte_split(mu) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _honest_outcomes(seed: int, mu: np.ndarray, trials: int) -> Iterator[np.ndarray]:
-    """Blocks of ``_TRIAL_CHUNK`` trials of i.i.d. honest outcomes, one row
-    per trial, cell c correct with probability ``mu[c]``.
+    """Blocks of i.i.d. honest outcomes, one row per trial, cell c correct
+    with probability ``mu[c]``: each block as many trials as fit in
+    ``_DRAW_CELLS`` cells, or one trial if it alone holds more.
 
     Each cell costs one random byte b of ``Philox(key=seed).random_raw``,
     read little-endian within each word: trial t's cells are the first
@@ -326,8 +333,9 @@ def _honest_outcomes(seed: int, mu: np.ndarray, trials: int) -> Iterator[np.ndar
     tied = r > 0.0
     bits = np.random.Philox(key=seed)
     ties = np.random.Generator(np.random.Philox(key=seed).jumped()) if tied.any() else None
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        rows = min(_TRIAL_CHUNK, trials - lo)
+    step = max(1, _DRAW_CELLS // cells)
+    for lo in range(0, trials, step):
+        rows = min(step, trials - lo)
         b = (bits.random_raw(rows * words).astype("<u8", copy=False).view(np.uint8)
              .reshape(rows, 8 * words)[:, :cells])
         correct = b < m
@@ -337,7 +345,7 @@ def _honest_outcomes(seed: int, mu: np.ndarray, trials: int) -> Iterator[np.ndar
             at = np.flatnonzero(tie)  # row-major
             correct.flat[at] = ties.random(at.size) < r[at % cells]
         # drop the block's bytes before the caller runs and its outcomes before the
-        # next block is drawn: holding both blocks costs 4 MB more at N = 8000
+        # next block is drawn, so at most one block is held
         b = tie = None
         yield correct
         del correct
@@ -350,27 +358,36 @@ def _mc_summary(losses: np.ndarray, trials: int, seed: int) -> MCResult:
 
 
 def _reachable_actions(
-    packed: Iterable[np.ndarray], n: int
+    packed: Iterable[tuple[int, int, np.ndarray]], n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The played rows of a policy from its N full rows ``packed`` (row k
-    holds stage k's 2k+1 actions, offset j at bit j + k, as ``np.packbits``
-    packs them): the ``lo``, ``hi`` and ``actions`` of an
-    :class:`OnlinePolicy`.
+    """The played rows of a policy from its N stages' action bits: the
+    ``lo``, ``hi`` and ``actions`` of an :class:`OnlinePolicy`.  Row k of
+    ``packed`` is ``(start, width, bits)``, stage k's actions on row indices
+    start..start + width - 1 (offset j is row index j + k) as ``np.packbits``
+    packs them; every index outside holds its nearer edge's action, as the
+    offsets outside a window of :func:`_backward` do.  A full row is
+    ``(0, 2k+1, bits)``.
 
     Stage k reaches exactly the offsets lo_k..hi_k: every offset can stay put
     (a wrong lie, a right truth), so lo_{k+1} = lo_k - (truth at lo_k) and
     hi_{k+1} = hi_k + (lie at hi_k).  So lo falls and hi rises, and their
     union is lo[-1]..hi[-1].  Each row is read only in the bytes that cover
-    lo_k..hi_k.
+    lo_k..hi_k; a stage whose interval passes its window's edge reads each
+    index there as the edge cell, which holds the same bit.
     """
     # every buffer at its final size: grown ones fragment the heap of a long run
     lo, hi, bits = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), [0] * n
     a = b = 0  # lo_k + k and hi_k + k, stage k's row indices
-    for k, row in enumerate(packed):
+    for k, (start, size, row) in enumerate(packed):
         lo[k], hi[k] = a - k, b - k
-        x = int.from_bytes(row[a >> 3 : (b >> 3) + 1].tobytes(), "big") >> (7 - (b & 7))
-        x &= (2 << (b - a)) - 1  # bit i is row index b - i
-        bits[k] = x
+        c, d = a - start, b - start  # the interval's indices in the window
+        if c < 0 or d >= size:  # clamp each index to the window's edge cells
+            cells = np.unpackbits(row, count=size)[np.clip(np.arange(c, d + 1), 0, size - 1)]
+            x = int.from_bytes(np.packbits(cells).tobytes(), "big") >> (-cells.size % 8)
+        else:
+            x = int.from_bytes(row[c >> 3 : (d >> 3) + 1].tobytes(), "big") >> (7 - (d & 7))
+            x &= (2 << (d - c)) - 1
+        bits[k] = x  # bit i is row index b - i
         a += x >> (b - a)
         b += 1 + (x & 1)
     width = int(hi[-1] - lo[-1]) + 1
@@ -441,9 +458,10 @@ def simulate_online(
     low, width = int(lo[-1]), int(hi[-1] - lo[-1] + 1)
     # stage 8b + t of a trial is bit 7 - t of its byte in row b
     outcomes = np.empty((blocks, trials), dtype=np.uint8)
-    draws = _honest_outcomes(seed, np.full(n, params.mu), trials)
-    for first, correct in zip(range(0, trials, _TRIAL_CHUNK), draws):
+    first = 0
+    for correct in _honest_outcomes(seed, np.full(n, params.mu), trials):
         outcomes[:, first : first + correct.shape[0]] = np.packbits(correct, axis=1).T
+        first += correct.shape[0]
         del correct  # so the next block can reuse its memory
     q_lie, q_truth = _offset_losses(params, params.rho0)
     # offset index s is offset low + s
@@ -695,8 +713,7 @@ def monte_carlo_k_expert_values(
     honest = params.n_experts - 1
     n = params.horizon
     cols = np.asarray(horizons)
-    if cols.ndim != 1 or cols.dtype.kind not in "biuf" or not all(
-            _is_count(h) and 1 <= h <= n for h in cols.tolist()):
+    if not _counts_in(cols, 1, n):
         raise ValueError(f"horizons must lie in 1..{n} and be whole numbers, got {cols.tolist()}")
     cols = cols.astype(np.intp)
     # stage s of expert i is cell s * (K-1) + i, so every prefix of stages is

@@ -412,6 +412,7 @@ class TestMultiExpertScenario:
         of trials and the exact solver once, whatever the number of rows."""
         blocks, solves = [], []
         forward, solve = online_dp._clairvoyant_forward, cli.solve_k_expert_values
+        monkeypatch.setattr(online_dp, "_DRAW_CELLS", 256 * 48)  # 256 trials of 12 x 4 cells
         monkeypatch.setattr(online_dp, "_clairvoyant_forward",
                             lambda correct, kp: blocks.append(correct.shape) or forward(correct, kp))
         monkeypatch.setattr(cli, "solve_k_expert_values",

@@ -623,6 +623,14 @@ class TestRatioPolicyValues:
         with pytest.raises(ValueError, match="horizons must be integers"):
             ratio_policy_values([bad, 4], params(horizon=10), 20)
 
+    @pytest.mark.parametrize("bad", [["3"], 5, [math.inf], [math.nan], [2.5]],
+                             ids=["text", "scalar", "inf", "nan", "fraction"])
+    def test_rejects_horizons_that_are_not_a_list_of_whole_numbers(self, bad):
+        """Text and a scalar are a ValueError, not a TypeError, through the
+        check ``monte_carlo_k_expert_values`` makes."""
+        with pytest.raises(ValueError, match="horizons must be integers"):
+            ratio_policy_values(bad, params(horizon=10), 20)
+
 
 class TestResiduals:
     def test_anchor_at_origin(self):

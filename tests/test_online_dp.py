@@ -1,6 +1,7 @@
 """Backward-induction solvers, Monte Carlo harness, and baselines."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -426,6 +427,41 @@ class TestHonestOutcomes:
         mc = monte_carlo_k_expert(kp, trials, 5).per_trial
         assert np.array_equal(mc, monte_carlo_k_expert(kp, 777, 5).per_trial[:trials])
 
+    @pytest.mark.parametrize("budget", ["1", "7", "trial-1", "trial", "trial+1", "module"])
+    def test_block_size_changes_no_bit(self, monkeypatch, budget):
+        """Blocks of draws hold as many whole trials as fit in the cell
+        budget, or one if a trial alone passes it; every per-trial loss of
+        both harnesses is the same bits at any budget, the tied bytes'
+        uniforms included (mu = 0.3 and two of the accuracies tie)."""
+        p = params(mu=0.3, horizon=37, rho0=0.2)
+        kp = KExpertParams(epsilon=0.4, horizon=6, accuracies=(0.3, 0.5, 0.9),
+                           initial_weights=(1.0, 2.0, 0.5, 1.5))
+        policy = optimal_policy(p)
+        harnesses = [  # (cells of one trial, its per-trial losses)
+            (37, lambda: [simulate_online(p, policy, 300, 5).per_trial]),
+            (18, lambda: [r.per_trial for r in monte_carlo_k_expert_values(kp, 300, 5, [2, 6])]),
+        ]
+        draw = online_dp._honest_outcomes
+        for cells, play in harnesses:
+            want, blocks = play(), []
+
+            def recording(seed, mu, trials):
+                for block in draw(seed, mu, trials):
+                    blocks.append(block.shape)
+                    yield block
+
+            limit = {"1": 1, "7": 7, "trial-1": cells - 1, "trial": cells,
+                     "trial+1": cells + 1}.get(budget, online_dp._DRAW_CELLS)
+            with monkeypatch.context() as patch:
+                patch.setattr(online_dp, "_DRAW_CELLS", limit)
+                patch.setattr(online_dp, "_honest_outcomes", recording)
+                got = play()
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+            assert {width for _, width in blocks} == {cells}
+            assert sum(rows for rows, _ in blocks) == 300
+            assert all(rows * cells <= limit or rows == 1 for rows, _ in blocks)
+            assert len(blocks) == -(-300 // max(1, limit // cells))
+
     @pytest.mark.parametrize("mu", [0.3, 0.999])
     def test_frequency_within_five_sigma(self, mu):
         trials, cells = 2**10, 2**12
@@ -484,8 +520,9 @@ class TestOptimalPolicy:
     @pytest.mark.parametrize("trials", [1, 255, 256, 257, 777])
     def test_simulation_bit_identical(self, mu, rho0, loss, n, trials):
         """Lean record and table play the same per-trial losses, equal to a
-        row-major play of every trial's decoded outcomes at once, on both
-        sides of every edge of the blocks of draws (trials)."""
+        row-major play of every trial's decoded outcomes at once, at trial
+        counts on both sides of 256 (the block size itself is varied in
+        ``TestHonestOutcomes.test_block_size_changes_no_bit``)."""
         p = params(mu=mu, horizon=n, rho0=rho0, loss=loss)
         table = solve_two_expert(p)
         lean = simulate_online(p, optimal_policy(p), trials, seed=1729)
@@ -493,6 +530,55 @@ class TestOptimalPolicy:
         assert np.array_equal(lean.per_trial, full.per_trial)
         assert np.array_equal(lean.per_trial, _row_major_simulation(p, table, trials, 1729))
         np.testing.assert_equal((lean.mean, lean.stderr), (full.mean, full.stderr))  # NaN == NaN
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.99, 0.999])
+    def test_window_rows_play_the_full_rows(self, monkeypatch, eps):
+        """The policy packs each stage's actions over its backward window
+        only, and the interval pass reads an index past a window's edge as
+        that edge cell: root value and played rows are the full table's bit
+        for bit on extreme weights and accuracies, and at eps = 0.2 some
+        stages' intervals pass their window's edge."""
+        windows, derive = [], online_dp._reachable_actions
+
+        def recording(packed, n):
+            windows.append(list(packed))
+            return derive(windows[-1], n)
+
+        monkeypatch.setattr(online_dp, "_reachable_actions", recording)
+        clamped = 0
+        for mu, rho0, n in product((0.02, 0.5, 0.99), (1e-12, 0.5, 1 - 1e-9), (1, 8, 9, 60, 301)):
+            p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps)
+            policy, table = optimal_policy(p), solve_two_expert(p)
+            assert policy.root_value == table.root_value and _same_played_rows(policy, table)
+            rows, full = windows[-2:]  # the policy's windows, then the table's full rows
+            assert [row[:2] for row in full] == [(0, 2 * k + 1) for k in range(n)]
+            reach = zip(rows, policy.lo, policy.hi)
+            clamped += sum(lo + k < start or hi + k >= start + width
+                           for k, ((start, width, _), lo, hi) in enumerate(reach))
+        assert clamped > 0 or eps != 0.2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_window_reads_clamp_to_the_edge_cells(self, seed):
+        """Random windows and intervals: rows packed over a window, each
+        index outside it holding its nearer edge's bit, give the played rows
+        of the same rows packed in full, including intervals that pass one
+        edge, both edges, or lie wholly outside the window."""
+        rng = np.random.default_rng(seed)
+        n = 200
+        windows, full = [], []
+        for k in range(n):
+            start = int(rng.integers(0, 2 * k + 1))
+            width = int(rng.integers(1, 2 * k + 2 - start))
+            bits = rng.random(width) < rng.choice([0.1, 0.5, 0.9])
+            windows.append((start, width, np.packbits(bits)))
+            full.append((0, 2 * k + 1, np.packbits(_full_row(bits, k, start))))
+        got, want = online_dp._reachable_actions(windows, n), online_dp._reachable_actions(full, n)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        lo, hi = want[0], want[1]
+        starts = np.array([w[0] for w in windows]) - np.arange(n)
+        ends = starts + np.array([w[1] for w in windows]) - 1
+        assert np.any(lo < starts) and np.any(hi > ends) and np.any((lo < starts) & (hi > ends))
+        assert np.any(hi < starts) and np.any(lo > ends)
 
     @pytest.mark.parametrize("n", [1, 7, 60, 301, 1000])
     def test_actions_are_packed_bits(self, n):
@@ -632,6 +718,34 @@ class TestBlockReplay:
                 assert np.array_equal(bits[inside], full[offsets[inside] + k])
                 assert not bits[~inside].any()
                 reach = {i for j in reach for i in (j, j + 1 if full[j + k] else j - 1)}
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it traced, in MB, above what
+    was held before the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The two phases of the benchmark's ``long`` call (N = 8000, mu = 1/2,
+    2000 trials) stay under fixed traced peaks.  The policy packs only each
+    stage's window while its pass runs (5.9 MB traced, 8.9 MB with full
+    rows), and the replay draws blocks of at most ``_DRAW_CELLS`` cells
+    (3.8-4.1 MB, 8.6-8.8 MB with 256-trial blocks)."""
+
+    def test_policy_peak(self):
+        policy, peak = _traced_peak(optimal_policy, params(mu=0.5, horizon=8000))
+        assert policy.root_value > 0 and peak < 7.5
+
+    def test_replay_peak(self):
+        p = params(mu=0.5, horizon=8000)
+        sim, peak = _traced_peak(simulate_online, p, optimal_policy(p), 2000, 3)
+        assert sim.trials == 2000 and peak < 6.0
 
 
 class TestGeneralLoss:
