@@ -31,8 +31,9 @@ both stage costs are exactly constant, so the backward pass evaluates only a
 window of each stage, about half of the N^2 states: every offset outside it
 holds its edge cell's value, lie and truth, as the same float expression on
 the same inputs (``_backward``).  The table expands each window to the full
-row; a played policy packs its action bits over the window only, and its
-interval pass reads an offset past a window's edge as the edge cell.
+row; a played policy packs its action bits over the window only, all
+stages in one flat buffer, and its interval pass reads an offset past a
+window's edge as the edge cell.
 Both Monte Carlo harnesses draw each honest outcome from one random byte
 (``_honest_outcomes``): P(correct) = mu exactly, a trial's outcomes do not
 depend on how many trials follow it, and the few bytes that tie with 256 mu
@@ -259,13 +260,20 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
 def optimal_policy(params: ModelParams) -> OnlinePolicy:
     """The optimal online policy, equal to ``solve_two_expert``'s bit for
     bit.  While the backward pass runs, each stage's actions are packed
-    over its window only (about 4 MB at N = 8000, mu = 1/2, not the 8 MB
-    of full rows); the interval pass then keeps only the reachable bits
+    over its window only, into one flat buffer of exactly their bytes
+    (3.85 MB at N = 8000, mu = 1/2, against 8 MB of full rows), freed as
+    one block; the interval pass then keeps only the reachable bits
     (0.14 MB)."""
-    packed: list[tuple[int, int, np.ndarray]] = [(0, 0, np.empty(0, np.uint8))] * params.horizon
+    n = params.horizon
     for k, start, v, lie, truth in _backward(params):
-        packed[k] = start, lie.shape[0], np.packbits(lie >= truth)
-    return OnlinePolicy(params, float(v[0]), *_reachable_actions(packed, params.horizon))
+        if k == n - 1:  # stage N - 1's window fixes every stage's (see _backward)
+            starts = np.maximum(0, start - 2 * np.arange(n - 1, -1, -1))
+            widths = np.minimum(2 * np.arange(n), start + lie.shape[0] - 1) - starts + 1
+            at = np.concatenate(([0], np.cumsum(-(-widths // 8))))  # stage k's bytes at[k]..
+            bits = np.empty(at[-1], dtype=np.uint8)
+        bits[at[k] : at[k + 1]] = np.packbits(lie >= truth)
+    rows = ((int(starts[k]), int(widths[k]), bits[at[k] : at[k + 1]]) for k in range(n))
+    return OnlinePolicy(params, float(v[0]), *_reachable_actions(rows, n))
 
 
 def optimal_values(params: ModelParams | Sequence[ModelParams]) -> np.ndarray:
@@ -366,7 +374,8 @@ def _reachable_actions(
     start..start + width - 1 (offset j is row index j + k) as ``np.packbits``
     packs them; every index outside holds its nearer edge's action, as the
     offsets outside a window of :func:`_backward` do.  A full row is
-    ``(0, 2k+1, bits)``.
+    ``(0, 2k+1, bits)``; :func:`optimal_policy`'s rows are views of its one
+    flat buffer, made as they are read.
 
     Stage k reaches exactly the offsets lo_k..hi_k: every offset can stay put
     (a wrong lie, a right truth), so lo_{k+1} = lo_k - (truth at lo_k) and

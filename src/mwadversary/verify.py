@@ -4,7 +4,8 @@ Each check returns a :class:`CheckResult` with the measured worst deviation
 and the tolerance it was held to, so the report can show how much margin a
 passing build actually has.  The oracles: brute-force path enumeration for
 block-policy evaluation, :func:`expectimax_value`, which replays raw
-weights without the offset lattice, for the online DPs, and
+weights without the offset lattice, for the online DPs, the two-expert DP
+for the K-expert DP at K = 2, and
 :func:`backward_clairvoyant_values`, one backward pass per horizon, for the
 clairvoyant forward pass that reads every horizon off one pass.
 """
@@ -36,6 +37,7 @@ from .online_dp import (
     optimal_policy,
     optimal_values,
     solve_k_expert,
+    solve_k_expert_values,
 )
 from .policies import OfflinePolicy, block_form, random_policy, ratio_policy
 
@@ -149,6 +151,20 @@ def check_online_oracle() -> CheckResult:
     return _worst_case("online-oracle", cases, 1e-12)
 
 
+def check_k2_reduction() -> CheckResult:
+    """The K-expert DP at K = 2, on raw weights w_i eps^d, against the
+    two-expert DP on the closed-form rho_j, at every horizon 1..60."""
+    cases = []
+    for eps, mu, rho0 in product((_EPS_DEFAULT, 0.2, 0.6, 0.9), (0.1, 0.3, 0.5, 0.7, 0.93),
+                                 (0.05, 0.2, 0.5, 0.9)):
+        want = optimal_values(ModelParams(epsilon=eps, mu=mu, horizon=60, rho0=rho0))[1:]
+        got = solve_k_expert_values(KExpertParams(eps, 60, (mu,), (rho0, 1.0 - rho0)))[1:]
+        deviation = np.abs(got - want) / want
+        r = int(np.argmax(deviation))
+        cases.append((float(deviation[r]), f"mu={mu} rho0={rho0} eps={eps:.4g} N={r + 1}"))
+    return _worst_case("k2-reduction", cases, 1e-13)
+
+
 def backward_clairvoyant_values(realized: np.ndarray, kp: KExpertParams) -> np.ndarray:
     """Clairvoyant optimum of each realization (trials x (K-1) x N, 1 marking
     a correct stage) at horizon N alone, by backward induction over the
@@ -259,6 +275,7 @@ def check_bounds_sandwich() -> CheckResult:
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_oracle_equivalence,
     check_online_oracle,
+    check_k2_reduction,
     check_clairvoyant_forward,
     check_residual_inequalities,
     check_normal_approx_decay,

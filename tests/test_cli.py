@@ -449,13 +449,13 @@ class TestVerifyScenario:
         out = tmp_path / "verify.csv"
         assert main(["verify", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        assert stdout.count("[PASS]") == 7
+        assert stdout.count("[PASS]") == 8
         assert "[FAIL]" not in stdout
         _, header, rows = read_csv(str(out))
         assert header == ["check", "passed", "measured", "tolerance", "detail"]
         assert [row[0] for row in rows] == [
-            "oracle-equivalence", "online-oracle", "clairvoyant-forward", "residual-inequalities",
-            "normal-approx-decay", "dominance-chain", "bounds-sandwich",
+            "oracle-equivalence", "online-oracle", "k2-reduction", "clairvoyant-forward",
+            "residual-inequalities", "normal-approx-decay", "dominance-chain", "bounds-sandwich",
         ]
         assert all(row[1] == "true" for row in rows)
         assert all(row[4] for row in rows), "every row names its worst case"
@@ -512,6 +512,23 @@ class TestVerifyScenario:
         result = verify.check_online_oracle()
         assert result.passed is False
         assert result.detail == "solve_k_expert K=3 accuracies=(0.3, 0.7) N=8"
+
+    def test_detects_perturbed_k2_reduction(self, monkeypatch):
+        """A 1e-12 relative error in one horizon of the K-expert DP trips the
+        k2-reduction check, which names that horizon; the check's margin is
+        the measured worst deviation, far inside its tolerance."""
+        assert verify.check_k2_reduction().measured < 1e-14
+        solve = verify.solve_k_expert_values
+
+        def skewed(kp):
+            out = solve(kp)
+            out[23] *= 1 + 1e-12
+            return out
+
+        monkeypatch.setattr(verify, "solve_k_expert_values", skewed)
+        result = verify.check_k2_reduction()
+        assert result.passed is False
+        assert result.measured > result.tolerance and result.detail.endswith(" N=23")
 
     def test_detects_perturbed_clairvoyant_forward_pass(self, monkeypatch):
         """A 1e-9 relative error in one horizon of the forward pass trips the

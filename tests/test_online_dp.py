@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -557,6 +558,44 @@ class TestOptimalPolicy:
                            for k, ((start, width, _), lo, hi) in enumerate(reach))
         assert clamped > 0 or eps != 0.2
 
+    @pytest.mark.parametrize("eps", [1 / E, 0.99], ids=["1/e", "0.99"])
+    @pytest.mark.parametrize("n", [1, 8, 9, 301])
+    def test_window_bits_share_one_exact_buffer(self, monkeypatch, eps, n):
+        """The interval pass gets its rows one at a time, stage k's window and
+        its packed bits, each a view of one flat ``uint8`` buffer of exactly
+        sum_k ceil(w_k / 8) bytes over the backward pass's windows, in stage
+        order, and sized with no second stage-cost pass; the buffer goes as
+        one block once the policy is built."""
+        rows, derive, costed, stage_costs = [], online_dp._reachable_actions, [], _stage_costs
+
+        def recording(packed, n):
+            assert iter(packed) is packed, "the rows are made on the fly, not held in a list"
+            rows[:] = packed
+            return derive(rows, n)
+
+        monkeypatch.setattr(online_dp, "_reachable_actions", recording)
+        monkeypatch.setattr(online_dp, "_stage_costs", lambda p: costed.append(p) or stage_costs(p))
+        for mu, rho0, loss in WINDOW_GRID:
+            p = params(mu=mu, horizon=n, rho0=rho0, epsilon=eps, loss=LOSSES[loss])
+            costed.clear()
+            optimal_policy(p)
+            assert costed == [p]
+            windows = sorted((k, start, lie.shape[0], np.packbits(lie >= truth))
+                             for k, start, _, lie, truth in _backward(p))
+            assert [row[:2] for row in rows] == [(start, width) for _, start, width, _ in windows]
+            base = rows[0][2].base
+            assert base.dtype == np.uint8 and base.ndim == 1 and base.flags.owndata
+            sizes = [-(-width // 8) for _, _, width, _ in windows]
+            assert base.nbytes == sum(sizes)
+            assert all(bits.base is base for *_, bits in rows)
+            assert [bits.ctypes.data - base.ctypes.data for *_, bits in rows] == \
+                np.cumsum([0, *sizes[:-1]]).tolist()
+            assert all(np.array_equal(row[2], w[3]) for row, w in zip(rows, windows))
+            freed = weakref.ref(base)
+            del base
+            rows.clear()
+            assert freed() is None
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_window_reads_clamp_to_the_edge_cells(self, seed):
         """Random windows and intervals: rows packed over a window, each
@@ -734,13 +773,14 @@ def _traced_peak(fn, *args):
 class TestPeakMemory:
     """The two phases of the benchmark's ``long`` call (N = 8000, mu = 1/2,
     2000 trials) stay under fixed traced peaks.  The policy packs only each
-    stage's window while its pass runs (5.9 MB traced, 8.9 MB with full
-    rows), and the replay draws blocks of at most ``_DRAW_CELLS`` cells
-    (3.8-4.1 MB, 8.6-8.8 MB with 256-trial blocks)."""
+    stage's window while its pass runs, into one flat buffer: 4.77 MB
+    traced, held under 5.5 MB (5.8 MB with a tuple and an array per stage,
+    8.9 MB with full rows).  The replay draws blocks of at most
+    ``_DRAW_CELLS`` cells (3.8-4.1 MB, 8.6-8.8 MB with 256-trial blocks)."""
 
     def test_policy_peak(self):
         policy, peak = _traced_peak(optimal_policy, params(mu=0.5, horizon=8000))
-        assert policy.root_value > 0 and peak < 7.5
+        assert policy.root_value > 0 and peak < 5.5
 
     def test_replay_peak(self):
         p = params(mu=0.5, horizon=8000)
