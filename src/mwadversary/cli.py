@@ -57,7 +57,6 @@ from .policies import (
     ratio_policy,
     true_policy,
 )
-from .verify import run_all
 
 _EPSILON = repr(math.exp(-1.0))
 
@@ -404,8 +403,8 @@ def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     # one backward pass at the largest horizon holds the reduced model's
     # online value of every smaller one, and one exact K-expert solve at the
     # largest horizon within exact_dp_max_n (raising the knob past the solver
-    # guards is a hard guard violation, exit 3) every exact value; it runs
-    # before the draws, so its grids and their losses are never held together
+    # guards is a hard guard violation, exit 3) every exact value; it holds two
+    # grids and runs before the draws, so grids and losses are never held together
     two_expert = optimal_values(_params(cfg, mu_mean, rho_adv, longest))
     exact_n = max((n for n in cfg.horizons if n <= cfg.exact_dp_max_n), default=0)
     exact = solve_k_expert_values(_k_params(cfg, exact_n)) if exact_n else []
@@ -422,6 +421,7 @@ def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
 
 
 def run_verify(cfg: ExperimentConfig) -> int:
+    from .verify import run_all  # only this scenario loads the checks
     started = time.perf_counter()
     results = run_all()
     elapsed = time.perf_counter() - started

@@ -41,15 +41,15 @@ take one uniform each, in row-major cell order.  They are drawn in blocks of
 at most ``_DRAW_CELLS`` cells (one trial if it alone has more), and the
 replay keeps them one bit per (trial, stage), eight stages to a byte.
 Also here: the exact K-expert model on a mistake-count grid (one two-point
-average per honest expert, along its axis), whose grid point 0 at stage k
-holds the optimum of horizon N - k, so one solve gives every horizon; a
-clairvoyant solver, one forward longest path over (stage, adversary
-mistakes) for a block of realizations, which gives every horizon too; and
-the baseline of an adversary with no outcome information, whose coin flips
-walk the offset with one fixed kernel: an adjoint pass carries the stage
-costs back through that kernel, one correlation per stage.  The K-expert
-draws are stage-major (cell s (K-1) + i is expert i at stage s), so a
-shorter horizon's realization is a prefix of a longer one's: the
+average per honest expert, along its axis; two grids held), whose grid point
+0 at stage k holds the optimum of horizon N - k, so one solve gives every
+horizon; a clairvoyant solver, one forward longest path over (stage,
+adversary mistakes) for a block of realizations, which gives every horizon
+too; and the baseline of an adversary with no outcome information, whose
+coin flips walk the offset with one fixed kernel: an adjoint pass carries
+the stage costs back through that kernel, one correlation per stage.  The
+K-expert draws are stage-major (cell s (K-1) + i is expert i at stage s), so
+a shorter horizon's realization is a prefix of a longer one's: the
 ``multi-expert`` rows all read one draw at their largest horizon, and their
 per-trial losses are nested and correlated across rows, while each row's
 stderr is still that of its independent trials.
@@ -89,9 +89,11 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 # cells per block of honest outcomes (one random byte each, exact P = mu, tie uniforms in
-# row-major order): a block holds as many whole trials as fit, at least one, so 65 trials
-# (0.5 MB) at N = 8000; no outcome depends on it or on the trials after its own
-_DRAW_CELLS = 1 << 19
+# row-major order): a block holds as many whole trials as fit, at least one, so 8 trials at
+# N = 8000, multi-expert's 1000 x 160 cells in 3 blocks; no outcome depends on the blocks
+_DRAW_CELLS = 1 << 16
+# cells per slab of a K-expert stage: as many axis-0 rows of (2k+3)^(K-2) cells as fit, >= 1
+_SLAB_CELLS = 1 << 14
 # cells of a replay's block maps (distinct 8-stage action patterns x reachable offsets x
 # 256 outcome bytes, 72 bytes each, so at most 19 MB) beyond which it replays stage by
 # stage instead
@@ -558,9 +560,11 @@ def solve_k_expert_values(params: KExpertParams) -> np.ndarray:
     truth raises it.  A grid point's stage costs depend on d alone, not on
     the stage, so d = 0 at stage k starts a horizon N - k problem and holds
     its optimum, the same float expressions on the same inputs as a solve
-    at that horizon.  Each stage builds its two cost grids once and runs
-    every average into two reused buffers (:func:`_grid_average`),
-    multiplying and then adding as a plain ``mu * a + (1 - mu) * b`` does.
+    at that horizon.  Only this grid and the next are held: each stage fills
+    the next a slab of axis-0 rows at a time (``_SLAB_CELLS``), each slab
+    building its rows' cost grids and running every average into two
+    buffers (:func:`_grid_average`) as a plain ``mu * a + (1 - mu) * b``
+    does, so no bit depends on the slabs.
     Guards: K <= 5, N <= 60 and at most 2,000,000 terminal states; weights
     that overflow double precision are a guard violation.
     """
@@ -590,42 +594,46 @@ def solve_k_expert_values(params: KExpertParams) -> np.ndarray:
             shape[i] = size
             with np.errstate(over="ignore"):  # an overflow is the guard violation below
                 axis_w.append((w0[1 + i] * eps**d).reshape(shape))
-        total_w = w0[0] + sum(axis_w)
-        if not np.all(np.isfinite(total_w)):
-            raise GuardError(f"epsilon={eps} and N={n}: weights overflow at stage {k}")
-        wrong_w = sum((1.0 - mu) * a for mu, a in zip(params.accuracies, axis_w))
-        truth = wrong_w / total_w
-        wrong_w += w0[0]
-        lie = np.divide(wrong_w, total_w, out=wrong_w)
-        del total_w
-        buffers = np.empty((2, size * (size + 2) ** (honest - 1)))
-        lie += _grid_average(v, params.accuracies, 0, buffers, keep=True)
-        truth += _grid_average(v, params.accuracies, 1, buffers, keep=False)
-        v = np.maximum(lie, truth, out=lie)
-        del truth, buffers
+        nxt = np.empty((size,) * honest)
+        step = max(1, _SLAB_CELLS // (size + 2) ** (honest - 1))
+        for r0 in range(0, size, step):
+            r1 = min(size, r0 + step)
+            slab_w = [axis_w[0][r0:r1], *axis_w[1:]]
+            total_w = w0[0] + sum(slab_w)
+            if not np.all(np.isfinite(total_w)):
+                raise GuardError(f"epsilon={eps} and N={n}: weights overflow at stage {k}")
+            wrong_w = sum((1.0 - mu) * a for mu, a in zip(params.accuracies, slab_w))
+            truth = wrong_w / total_w
+            wrong_w += w0[0]
+            lie = np.divide(wrong_w, total_w, out=wrong_w)
+            buffers = np.empty((2, (r1 - r0) * (size + 2) ** (honest - 1)))
+            lie += _grid_average(v[r0 : r1 + 2], params.accuracies, 0, buffers)
+            truth += _grid_average(v[r0 : r1 + 2], params.accuracies, 1, buffers)
+            np.maximum(lie, truth, out=nxt[r0:r1])
+        v = nxt
         out[n - k] = v[(k,) * honest]
     return out
 
 
 def _grid_average(v: np.ndarray, accuracies: tuple[float, ...], first: int,
-                  buffers: np.ndarray, keep: bool) -> np.ndarray:
+                  buffers: np.ndarray) -> np.ndarray:
     """The expectation of the next stage's values ``v`` over every honest
     expert's outcome, one two-point average mu_i * a + (1 - mu_i) * b per
     axis i, with a the window of v along axis i from index ``first`` and b
-    the one after it (``first`` = 0 for a lie, 1 for a truth).  Step i
-    leaves axes 0..i at this stage's size and writes row i % 2 of
-    ``buffers``, so the row it reads is free; it scales b in place where b's
-    grid is read no more (every source but v, and v too unless ``keep``).
+    the one after it (``first`` = 0 for a lie, 1 for a truth), each window
+    two cells shorter than its source's axis.  Step i writes row i % 2 of
+    ``buffers``, so the row it reads is free; it scales b in place where b
+    is a buffer, and never scales v, which the next slab reads again.
     Returns a view of ``buffers``."""
-    size = v.shape[0] - 2
     src = v
     for i, mu in enumerate(accuracies):
-        shape = (size,) * (i + 1) + src.shape[i + 1 :]
+        size = src.shape[i] - 2
+        shape = src.shape[:i] + (size,) + src.shape[i + 1 :]
         dst = buffers[i % 2, : math.prod(shape)].reshape(shape)
         axis = (slice(None),) * i
         np.multiply(src[axis + (slice(first, first + size),)], mu, out=dst)
         b = src[axis + (slice(first + 1, first + 1 + size),)]
-        tmp = buffers[1, : dst.size].reshape(shape) if src is v and keep else b
+        tmp = buffers[1, : dst.size].reshape(shape) if src is v else b
         np.multiply(b, 1.0 - mu, out=tmp)
         src = np.add(dst, tmp, out=dst)
     return src

@@ -323,6 +323,19 @@ def test_parser_is_built_once_and_not_at_import(tmp_path):
         assert [row[0] for row in read_csv(out)[2]] == [n]
 
 
+def test_only_verify_loads_the_checks(tmp_path):
+    """Neither importing the CLI nor running another scenario loads
+    ``mwadversary.verify``, so only the ``verify`` scenario compiles it."""
+    src = str(Path(mwadversary.__file__).resolve().parents[1])
+    probe = ("import sys, mwadversary.cli as c; print('mwadversary.verify' in sys.modules); "
+             f"c.main(['compare', '--N', '4', '--out', {str(tmp_path / 'c.csv')!r}]); "
+             "print('mwadversary.verify' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    lines = proc.stdout.splitlines()  # before and after the run, around its "wrote" line
+    assert (lines[0], lines[-1]) == ("False", "False") and proc.returncode == 0
+
+
 def test_python_m_mwadversary_version():
     proc = _run_module("--version")
     assert proc.returncode == 0

@@ -772,11 +772,17 @@ def _traced_peak(fn, *args):
 
 class TestPeakMemory:
     """The two phases of the benchmark's ``long`` call (N = 8000, mu = 1/2,
-    2000 trials) stay under fixed traced peaks.  The policy packs only each
-    stage's window while its pass runs, into one flat buffer: 4.77 MB
+    2000 trials) and of its ``multi-expert --trials 1000`` call (K = 5,
+    horizons 5..40) stay under fixed traced peaks.  The policy packs only
+    each stage's window while its pass runs, into one flat buffer: 4.77 MB
     traced, held under 5.5 MB (5.8 MB with a tuple and an array per stage,
     8.9 MB with full rows).  The replay draws blocks of at most
-    ``_DRAW_CELLS`` cells (3.8-4.1 MB, 8.6-8.8 MB with 256-trial blocks)."""
+    ``_DRAW_CELLS`` cells (3.8-4.1 MB, 8.6-8.8 MB with 256-trial blocks).
+    The exact K = 5 solve at N = 10 holds the current and the next grid
+    and fills the next one a slab of rows at a time (2.9 MB, 6.3 MB with
+    whole-stage temporaries), and the clairvoyant pass reads 2^16-cell
+    blocks (1.7 MB after a warm-up call, 4.0 MB with one 160 k-cell
+    block)."""
 
     def test_policy_peak(self):
         policy, peak = _traced_peak(optimal_policy, params(mu=0.5, horizon=8000))
@@ -786,6 +792,20 @@ class TestPeakMemory:
         p = params(mu=0.5, horizon=8000)
         sim, peak = _traced_peak(simulate_online, p, optimal_policy(p), 2000, 3)
         assert sim.trials == 2000 and peak < 6.0
+
+    def test_k_expert_solve_peak(self):
+        kp = KExpertParams(epsilon=1 / E, horizon=10, accuracies=(0.5,) * 4,
+                           initial_weights=(1.0,) * 5)
+        values, peak = _traced_peak(solve_k_expert_values, kp)
+        assert values[-1] > 0 and peak < 4.0
+
+    def test_clairvoyant_peak(self):
+        kp = KExpertParams(epsilon=1 / E, horizon=40, accuracies=(0.5,) * 4,
+                           initial_weights=(1.0,) * 5)
+        monte_carlo_k_expert_values(kp, 2, 1, [5])  # the first draw's one-time allocations
+        horizons = list(range(5, 41, 5))
+        rows, peak = _traced_peak(monte_carlo_k_expert_values, kp, 1000, 1729, horizons)
+        assert len(rows) == len(horizons) and peak < 2.0
 
 
 class TestGeneralLoss:
@@ -890,6 +910,26 @@ class TestSolveKExpert:
         for r in range(1, n + 1):
             kr = replace(kp, horizon=r)
             assert values[r] == solve_k_expert(kr) == _plain_k_expert_value(kr)
+
+    @pytest.mark.parametrize("accuracies, weights", [
+        ((0.6,), (0.3, 0.7)),
+        ((0.3, 0.75), (1.0, 2.0, 0.5)),
+        ((0.2, 0.55, 0.85), (1.5, 0.4, 1.0, 2.0)),
+        ((0.45, 0.6, 0.35, 0.9), (0.8, 1.0, 3.0, 0.2, 1.1)),
+    ])
+    @pytest.mark.parametrize("epsilon", [1 / E, 0.6, 0.99])
+    def test_slabs_change_no_bit(self, monkeypatch, accuracies, weights, epsilon):
+        """One axis-0 row per slab, the default slabs and one slab per stage
+        give the same bytes: every cell is the same float expression on the
+        same inputs."""
+        for n in (1, 2, 7, 12):
+            kp = KExpertParams(epsilon=epsilon, horizon=n, accuracies=accuracies,
+                               initial_weights=weights)
+            got = []
+            for cells in (1, online_dp._SLAB_CELLS, 2**40):
+                monkeypatch.setattr(online_dp, "_SLAB_CELLS", cells)
+                got.append(solve_k_expert_values(kp).tobytes())
+            assert got[0] == got[1] == got[2]
 
     def test_guards(self):
         with pytest.raises(GuardError):
