@@ -245,8 +245,8 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
     All share the (b lies, a truths) prefix pairs, and horizon N is p pairs
     then one lie run, so one walk over the pairs serves every horizon: on
     reaching a horizon's p it charges its lie run (p = 0: all lies) without
-    convolving the law through it.  The pair's two laws are built once for
-    the walk.
+    convolving the law through it.  The pair's two laws are built once, at
+    the first stacked pair, so a walk that stacks none builds neither.
     """
     ns = np.asarray(horizons)
     if not _counts_in(ns, 2, params.horizon):
@@ -255,10 +255,11 @@ def ratio_policy_values(horizons, params: ModelParams, max_denominator: int) -> 
     mu, losses = params.mu, _offset_losses(params, params.rho0)
     b, a, _ = _ratio_pair(mu, max_denominator, params.horizon)
     pairs = [_ratio_pair(mu, max_denominator, n)[2] for n in ns]
-    lies, truths = binomial(b, mu), binomial(a, 1.0 - mu)
     out = np.zeros(len(ns))
     total, lo, masses = 0.0, 0, np.ones(1)
     for p in range(max(pairs, default=-1) + 1):
+        if p == 1:
+            lies, truths = binomial(b, mu), binomial(a, 1.0 - mu)
         if p:
             total, lo, masses = _run(total, lo, masses, lies, True, losses, params)
             total, lo, masses = _run(total, lo, masses, truths, False, losses, params)

@@ -99,9 +99,8 @@ _SLAB_CELLS = 1 << 14
 # stage instead
 _BLOCK_MAP_CELLS = 1 << 18
 _STEP = np.array([-1, 0, 0, 1])  # offset move of code lie + 2 * correct
-_K_EXPERT_MAX_K = 5
-_K_EXPERT_MAX_N = 60
 _K_EXPERT_MAX_STATES = 2_000_000
+_K_EXPERT_MAX_WORK = 30_000_000
 
 
 def _saturated_bounds(lie_costs: np.ndarray, truth_costs: np.ndarray) -> tuple[int, int]:
@@ -561,39 +560,35 @@ def solve_k_expert_values(params: KExpertParams) -> np.ndarray:
     the stage, so d = 0 at stage k starts a horizon N - k problem and holds
     its optimum, the same float expressions on the same inputs as a solve
     at that horizon.  Only this grid and the next are held: each stage fills
-    the next a slab of axis-0 rows at a time (``_SLAB_CELLS``), each slab
-    building its rows' cost grids and running every average into two
-    buffers (:func:`_grid_average`) as a plain ``mu * a + (1 - mu) * b``
-    does, so no bit depends on the slabs.
-    Guards: K <= 5, N <= 60 and at most 2,000,000 terminal states; weights
-    that overflow double precision are a guard violation.
+    the next a slab of axis-0 rows at a time (``_SLAB_CELLS``), each cell
+    the same float expression whatever the slabs, so no bit depends on them.
+    Guards: at most 2,000,000 terminal states, (2N+1)^(K-1), and at most
+    30,000,000 evaluated over all stages, the sum of (2k+1)^(K-1) over
+    k < N; weights that overflow double precision are a guard violation.
     """
     k_experts = params.n_experts
     n = params.horizon
     honest = k_experts - 1
-    if k_experts > _K_EXPERT_MAX_K:
-        raise GuardError(f"K={k_experts} exceeds the K <= {_K_EXPERT_MAX_K} guard")
-    if n > _K_EXPERT_MAX_N:
-        raise GuardError(f"N={n} exceeds the N <= {_K_EXPERT_MAX_N} guard")
     states = (2 * n + 1) ** honest
     if states > _K_EXPERT_MAX_STATES:
         raise GuardError(
             f"(2N+1)^(K-1) = {states} states exceeds the budget {_K_EXPERT_MAX_STATES}"
         )
-    eps = params.epsilon
-    w0 = params.initial_weights
-
+    work = sum((2 * k + 1) ** honest for k in range(n))
+    if work > _K_EXPERT_MAX_WORK:
+        raise GuardError(
+            f"K={k_experts} and N={n}: {work} evaluated states exceed the budget "
+            f"{_K_EXPERT_MAX_WORK}"
+        )
+    eps, accuracies, w0 = params.epsilon, params.accuracies, params.initial_weights
     out = np.zeros(n + 1)
     v = np.zeros((2 * n + 1,) * honest)
     for k in range(n - 1, -1, -1):
         size = 2 * k + 1
-        d = np.arange(-k, k + 1)
-        axis_w = []
-        for i in range(honest):
-            shape = [1] * honest
-            shape[i] = size
-            with np.errstate(over="ignore"):  # an overflow is the guard violation below
-                axis_w.append((w0[1 + i] * eps**d).reshape(shape))
+        with np.errstate(over="ignore"):  # an overflow is the guard violation below
+            powers = eps ** np.arange(-k, k + 1)
+            axis_w = [w0[1 + i] * powers.reshape((-1,) + (1,) * (honest - 1 - i))
+                      for i in range(honest)]
         nxt = np.empty((size,) * honest)
         step = max(1, _SLAB_CELLS // (size + 2) ** (honest - 1))
         for r0 in range(0, size, step):
@@ -602,41 +597,28 @@ def solve_k_expert_values(params: KExpertParams) -> np.ndarray:
             total_w = w0[0] + sum(slab_w)
             if not np.all(np.isfinite(total_w)):
                 raise GuardError(f"epsilon={eps} and N={n}: weights overflow at stage {k}")
-            wrong_w = sum((1.0 - mu) * a for mu, a in zip(params.accuracies, slab_w))
-            truth = wrong_w / total_w
-            wrong_w += w0[0]
-            lie = np.divide(wrong_w, total_w, out=wrong_w)
-            buffers = np.empty((2, (r1 - r0) * (size + 2) ** (honest - 1)))
-            lie += _grid_average(v[r0 : r1 + 2], params.accuracies, 0, buffers)
-            truth += _grid_average(v[r0 : r1 + 2], params.accuracies, 1, buffers)
+            wrong_w = sum((1.0 - mu) * a for mu, a in zip(accuracies, slab_w))
+            lie = (wrong_w + w0[0]) / total_w + _grid_average(v[r0 : r1 + 2], accuracies, 0)
+            truth = wrong_w / total_w + _grid_average(v[r0 : r1 + 2], accuracies, 1)
             np.maximum(lie, truth, out=nxt[r0:r1])
         v = nxt
         out[n - k] = v[(k,) * honest]
     return out
 
 
-def _grid_average(v: np.ndarray, accuracies: tuple[float, ...], first: int,
-                  buffers: np.ndarray) -> np.ndarray:
+def _grid_average(v: np.ndarray, accuracies: tuple[float, ...], first: int) -> np.ndarray:
     """The expectation of the next stage's values ``v`` over every honest
     expert's outcome, one two-point average mu_i * a + (1 - mu_i) * b per
     axis i, with a the window of v along axis i from index ``first`` and b
     the one after it (``first`` = 0 for a lie, 1 for a truth), each window
-    two cells shorter than its source's axis.  Step i writes row i % 2 of
-    ``buffers``, so the row it reads is free; it scales b in place where b
-    is a buffer, and never scales v, which the next slab reads again.
-    Returns a view of ``buffers``."""
-    src = v
+    two cells shorter than its source's axis."""
     for i, mu in enumerate(accuracies):
-        size = src.shape[i] - 2
-        shape = src.shape[:i] + (size,) + src.shape[i + 1 :]
-        dst = buffers[i % 2, : math.prod(shape)].reshape(shape)
+        size = v.shape[i] - 2
         axis = (slice(None),) * i
-        np.multiply(src[axis + (slice(first, first + size),)], mu, out=dst)
-        b = src[axis + (slice(first + 1, first + 1 + size),)]
-        tmp = buffers[1, : dst.size].reshape(shape) if src is v else b
-        np.multiply(b, 1.0 - mu, out=tmp)
-        src = np.add(dst, tmp, out=dst)
-    return src
+        a = v[axis + (slice(first, first + size),)]
+        b = v[axis + (slice(first + 1, first + 1 + size),)]
+        v = mu * a + (1.0 - mu) * b
+    return v
 
 
 def solve_k_expert(params: KExpertParams) -> float:

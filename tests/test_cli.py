@@ -172,6 +172,14 @@ class TestCompareScenario:
             v_false, v_ratio, v_opt, v_online = (float(row[i]) for i in (4, 6, 7, 8))
             assert max(v_false, v_ratio) <= v_opt <= v_online
 
+    def test_ratio_pair_longer_than_every_horizon(self, tmp_path):
+        """At mu = 1 - 1e-9 the ratio pair has 7000000191 truths, so no
+        horizon stacks one and its laws are never built."""
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--N", "40", "--mu", "0.999999999", "--out", str(out)]) == 0
+        _, _, rows = read_csv(str(out))
+        assert rows[0][6] == rows[0][4]  # v_ratio is v_false: all lies
+
     def test_svg_emitted(self, tmp_path):
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--N", "4,8", "--svg", "--out", str(out)]) == 0

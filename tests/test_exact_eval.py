@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -611,6 +612,19 @@ class TestRatioPolicyValues:
             p = params(mu, n)
             lies = [float(c == "F") for c in ratio_policy(p).text]
             assert value == pytest.approx(mixed_policy_values(lies, p)[-1], rel=1e-12, abs=0.0)
+
+    def test_no_stacked_pair_builds_no_pair_law(self):
+        """At mu = 1 - 1e-9 the pair is 7 lies and 7000000191 truths, which no
+        horizon up to 40 stacks: the walk charges the all-lies run and builds
+        neither of the pair's laws (Bin(7000000191, 1 - mu) needs 52 GiB)."""
+        p = params(0.999999999, 40)
+        tracemalloc.start()
+        try:
+            got = ratio_policy_values([40], p, 20)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert got[0] == policy_value(ratio_policy(p), p) and peak < 1.0
 
     def test_rejects_horizons_outside_params(self):
         with pytest.raises(ValueError):

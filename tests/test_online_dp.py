@@ -779,7 +779,7 @@ class TestPeakMemory:
     8.9 MB with full rows).  The replay draws blocks of at most
     ``_DRAW_CELLS`` cells (3.8-4.1 MB, 8.6-8.8 MB with 256-trial blocks).
     The exact K = 5 solve at N = 10 holds the current and the next grid
-    and fills the next one a slab of rows at a time (2.9 MB, 6.3 MB with
+    and fills the next one a slab of rows at a time (3.0 MB, 6.3 MB with
     whole-stage temporaries), and the clairvoyant pass reads 2^16-cell
     blocks (1.7 MB after a warm-up call, 4.0 MB with one 160 k-cell
     block)."""
@@ -931,19 +931,27 @@ class TestSolveKExpert:
                 got.append(solve_k_expert_values(kp).tobytes())
             assert got[0] == got[1] == got[2]
 
-    def test_guards(self):
-        with pytest.raises(GuardError):
-            solve_k_expert(
-                KExpertParams(epsilon=0.5, horizon=5, accuracies=(0.5,) * 5, initial_weights=(1.0,) * 6)
-            )
-        with pytest.raises(GuardError):
-            solve_k_expert(
-                KExpertParams(epsilon=0.5, horizon=61, accuracies=(0.5,), initial_weights=(1.0, 1.0))
-            )
-        with pytest.raises(GuardError):
+    def test_guards(self, monkeypatch):
+        """K > 5 and N > 60 solve within the budgets: K = 6 against the
+        expectimax over raw weights, K = 2 against the two-expert DP.  The
+        memory budget stops (2N+1)^(K-1) > 2,000,000 states, and the work
+        budget a horizon one past its exact sum, naming both."""
+        kp = KExpertParams(epsilon=0.5, horizon=2, accuracies=(0.3, 0.5, 0.6, 0.75, 0.9),
+                           initial_weights=(1.0, 0.5, 2.0, 1.0, 0.8, 1.5))
+        assert solve_k_expert(kp) == pytest.approx(expectimax_value(kp, None), rel=1e-12)
+        kp = KExpertParams(epsilon=0.5, horizon=61, accuracies=(0.7,), initial_weights=(0.4, 0.6))
+        want = optimal_values(ModelParams(epsilon=0.5, mu=0.7, horizon=61, rho0=0.4))
+        np.testing.assert_allclose(solve_k_expert_values(kp), want, rtol=1e-13, atol=0.0)
+        with pytest.raises(GuardError, match=r"= 2825761 states exceeds the budget 2000000$"):
             solve_k_expert(
                 KExpertParams(epsilon=0.5, horizon=20, accuracies=(0.5,) * 4, initial_weights=(1.0,) * 5)
             )
+        monkeypatch.setattr(online_dp, "_K_EXPERT_MAX_WORK", 1 + 9 + 25 + 49 + 81)
+        kp = KExpertParams(epsilon=0.5, horizon=5, accuracies=(0.4, 0.8), initial_weights=(1.0,) * 3)
+        assert solve_k_expert(kp) > 0
+        with pytest.raises(GuardError,
+                           match=r"^K=3 and N=6: 286 evaluated states exceed the budget 165$"):
+            solve_k_expert(replace(kp, horizon=6))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
