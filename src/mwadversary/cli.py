@@ -26,12 +26,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .core import GuardError, ModelParams
+from .core import GuardError, ModelParams, _positive_int
 from .exact_eval import (
     offline_optimum_values,
     policy_value,
@@ -235,6 +235,8 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
     for key, values in (("horizon N", cfg.horizons), ("policy", cfg.policies)):
         if len(set(values)) != len(values):
             raise ConfigError(f"every {key} must be distinct, got {values}")
+    for n in cfg.horizons:
+        _checked(_positive_int, "horizon", n)
     if cfg.trials < 0:
         raise ConfigError(f"trials must be nonnegative, got {cfg.trials}")
     if scenario == "multi-expert" and cfg.trials < 1:
@@ -246,9 +248,11 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
     return cfg
 
 
-def _params(cfg: ExperimentConfig, mu: float, rho0: float, n: int) -> ModelParams:
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the ValueError of a library check on a
+    configured value raised as a ConfigError."""
     try:
-        return ModelParams(epsilon=cfg.epsilon, mu=mu, horizon=n, rho0=rho0)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -256,18 +260,15 @@ def _params(cfg: ExperimentConfig, mu: float, rho0: float, n: int) -> ModelParam
 def _build_policy(name: str, n: int, params: ModelParams, cfg: ExperimentConfig) -> OfflinePolicy:
     if name not in _NAMED_POLICIES and not set(name) <= {"F", "T"}:
         raise ConfigError(f"unknown policy {name!r} (use false/true/ratio/random or an F/T string)")
-    try:
-        if name == "false":
-            return false_policy(n)
-        if name == "true":
-            return true_policy(n)
-        if name == "ratio":
-            return ratio_policy(params, max_denominator=cfg.max_denominator)
-        if name == "random":
-            return random_policy(n, cfg.q, cfg.seed)
-        pol = OfflinePolicy(name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if name == "false":
+        return _checked(false_policy, n)
+    if name == "true":
+        return _checked(true_policy, n)
+    if name == "ratio":
+        return _checked(ratio_policy, params, max_denominator=cfg.max_denominator)
+    if name == "random":
+        return _checked(random_policy, n, cfg.q, cfg.seed)
+    pol = _checked(OfflinePolicy, name)
     if pol.horizon != n:
         raise ConfigError(f"explicit policy has {pol.horizon} stages but N={n}; they must match")
     return pol
@@ -295,12 +296,12 @@ def _columns(rows: list, columns: list[tuple[str, int]]) -> list:
 def _write(cfg: ExperimentConfig, header: list[str], rows: list, charts: list) -> None:
     """Write the CSV and, when svg is on, each chart beside it.  A chart is
     (file suffix, title, series) and a series is (label, xs, ys)."""
-    write_csv(cfg.out, header, rows, __version__, cfg.scenario, cfg.resolved, cfg.seed)
+    write_csv(cfg.out, header, rows, cfg.scenario, cfg.resolved, cfg.seed)
     print(f"wrote {cfg.out}")
     if cfg.svg:
         for suffix, title, series in charts:
             path = f"{cfg.out.removesuffix('.csv')}{suffix}.svg"
-            write_svg(path, series, title, "stages N", "expected loss")
+            write_svg(path, series, title)
             print(f"wrote {path}")
 
 
@@ -311,7 +312,7 @@ def run_eval_offline(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
         for n in cfg.horizons:
-            params = _params(cfg, mu, rho0, n)
+            params = _checked(ModelParams, cfg.epsilon, mu, n, rho0)
             for name, label in zip(names, labels):
                 pol = _build_policy(name, n, params, cfg)
                 rows.append([n, mu, rho0, cfg.epsilon, label, pol.text, policy_value(pol, params)])
@@ -333,7 +334,7 @@ def run_solve_online(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     rows = []
     for mu, rho0 in cfg.mu_rho_pairs:
         for n in cfg.horizons:
-            params = _params(cfg, mu, rho0, n)
+            params = _checked(ModelParams, cfg.epsilon, mu, n, rho0)
             policy = optimal_policy(params)
             sim_mean = sim_err = None
             if cfg.trials > 0:
@@ -354,17 +355,17 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     # horizon of each; per group, the no-adversary column, the no-information
     # adjoint pass, one ratio-pair walk and one offline forward pass (to the
     # largest horizon within offline_opt_max_n) hold every horizon
-    groups = [_params(cfg, mu, rho0, top) for mu, rho0 in cfg.mu_rho_pairs]
+    groups = [_checked(ModelParams, cfg.epsilon, mu, top, rho0) for mu, rho0 in cfg.mu_rho_pairs]
     for (mu, rho0), longest, online in zip(cfg.mu_rho_pairs, groups, optimal_values(groups)):
         opt_n = max((n for n in cfg.horizons if n <= cfg.offline_opt_max_n), default=0)
-        offline = offline_optimum_values(_params(cfg, mu, rho0, opt_n)) if opt_n else []
+        offline = offline_optimum_values(replace(longest, horizon=opt_n)) if opt_n else []
         no_adversary = two_honest_values(longest)
         no_info = no_information_values(longest)
         ratio_ns = [n for n in cfg.horizons if n >= 2]
         ratio = dict(zip(ratio_ns, ratio_policy_values(ratio_ns, longest,
                                                        cfg.max_denominator).tolist()))
         for n in cfg.horizons:
-            params = _params(cfg, mu, rho0, n)
+            params = replace(longest, horizon=n)
             v_f = value_false(n, rho0, params)
             v_t = value_true(n, rho0, params)
             v_ratio = ratio.get(n)
@@ -382,19 +383,10 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
                                        lambda group: _columns(group, values))
 
 
-def _k_params(cfg: ExperimentConfig, n: int) -> KExpertParams:
-    try:
-        return KExpertParams(
-            epsilon=cfg.epsilon, horizon=n, accuracies=tuple(cfg.accuracies),
-            initial_weights=tuple(cfg.weights),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     longest = max(cfg.horizons)
-    kparams = _k_params(cfg, longest)
+    kparams = _checked(KExpertParams, cfg.epsilon, longest, tuple(cfg.accuracies),
+                       tuple(cfg.weights))
     rho_adv = kparams.adversary_relative_weight  # validates before np.mean reads them
     header = ["N", "epsilon", "rho_adv", "mu_mean", "v_two_expert", "v_k_clairvoyant",
               "v_k_clairvoyant_stderr", "v_k_exact_dp", "trials", "k_experts", "accuracies"]
@@ -405,9 +397,9 @@ def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     # largest horizon within exact_dp_max_n (raising the knob past the solver
     # guards is a hard guard violation, exit 3) every exact value; it holds two
     # grids and runs before the draws, so grids and losses are never held together
-    two_expert = optimal_values(_params(cfg, mu_mean, rho_adv, longest))
+    two_expert = optimal_values(_checked(ModelParams, cfg.epsilon, mu_mean, longest, rho_adv))
     exact_n = max((n for n in cfg.horizons if n <= cfg.exact_dp_max_n), default=0)
-    exact = solve_k_expert_values(_k_params(cfg, exact_n)) if exact_n else []
+    exact = solve_k_expert_values(replace(kparams, horizon=exact_n)) if exact_n else []
     # one draw at the largest horizon: each row's trials are its first n stages
     clairvoyant = monte_carlo_k_expert_values(kparams, cfg.trials, cfg.seed, cfg.horizons)
     rows = []

@@ -262,9 +262,6 @@ def binomial(trials: int, p: float) -> BinomialDist:
         raise ValueError(f"success probability must be in [0, 1], got {p}")
     n = int(trials)
     pmf = np.zeros(n + 1)
-    if n == 0 or p == 0.0:
-        pmf[0] = 1.0
-        return BinomialDist(n, pmf)
     if p == 1.0:
         pmf[n] = 1.0
         return BinomialDist(n, pmf)
@@ -284,9 +281,8 @@ def binomial(trials: int, p: float) -> BinomialDist:
         )
     pmf[anchor] = math.exp(log_anchor)
     r = p / (1.0 - p)
-    if anchor < n:
-        i = np.arange(anchor, n)
-        pmf[anchor + 1 :] = pmf[anchor] * np.cumprod((n - i) / (i + 1.0) * r)
+    i = np.arange(anchor, n)
+    pmf[anchor + 1 :] = pmf[anchor] * np.cumprod((n - i) / (i + 1.0) * r)
     if anchor > 0:
         i = np.arange(anchor, 0, -1)
         pmf[anchor - 1 :: -1] = pmf[anchor] * np.cumprod(i / ((n - i + 1.0) * r))

@@ -138,13 +138,11 @@ def _forward_step(masses: np.ndarray, lie: float, mu: float) -> np.ndarray:
     """Offset mass one stage on: the last axis, over offsets -k..k, becomes
     -k-1..k+1.  With probability ``lie`` the stage lies (+1 when the honest
     expert is right), else it tells the truth (-1 when it errs).  The adjoint
-    of online_dp's backward step; a sure action skips the zero term."""
+    of online_dp's backward step."""
     nxt = np.zeros(masses.shape[:-1] + (masses.shape[-1] + 2,))
     nxt[..., 1:-1] = (lie * (1.0 - mu) + (1.0 - lie) * mu) * masses
-    if lie != 0.0:
-        nxt[..., 2:] += lie * mu * masses
-    if lie != 1.0:
-        nxt[..., :-2] += (1.0 - lie) * (1.0 - mu) * masses
+    nxt[..., 2:] += lie * mu * masses
+    nxt[..., :-2] += (1.0 - lie) * (1.0 - mu) * masses
     return nxt
 
 

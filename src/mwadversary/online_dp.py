@@ -192,8 +192,6 @@ def _backward(
 def _full_row(a: np.ndarray, k: int, start: int) -> np.ndarray:
     """Stage k's 2k+1 offsets from a window ``a`` of :func:`_backward` that
     starts at index ``start``: each offset outside it holds its edge cell."""
-    if a.size == 2 * k + 1:
-        return a
     row = np.empty(2 * k + 1, dtype=a.dtype)
     row[:start] = a[0]
     row[start : start + a.size] = a
@@ -244,7 +242,6 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
     values: list[np.ndarray] = [np.empty(0)] * n + [np.zeros(2 * n + 1)]
     lie_optimal: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
     tie_flags: list[np.ndarray] = [np.empty(0, dtype=bool)] * n
-    states = 0
     for k, start, *arrays in _backward(params):
         v, lie, truth = (_full_row(a, k, start) for a in arrays)
         values[k] = v
@@ -252,10 +249,9 @@ def solve_two_expert(params: ModelParams) -> ValueTable:
         diff = lie - truth
         scale = np.maximum(1.0, np.maximum(np.abs(lie), np.abs(truth)))
         tie_flags[k] = np.abs(diff) <= _TIE_TOL * scale
-        states += 2 * k + 1
     played = _reachable_actions(((0, 2 * k + 1, np.packbits(row))
                                  for k, row in enumerate(lie_optimal)), n)
-    return ValueTable(params, float(values[0][0]), *played, lie_optimal, values, tie_flags, states)
+    return ValueTable(params, float(values[0][0]), *played, lie_optimal, values, tie_flags, n * n)
 
 
 def optimal_policy(params: ModelParams) -> OnlinePolicy:

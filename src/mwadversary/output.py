@@ -17,6 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
+
 __all__ = ["fmt", "config_hash", "write_csv", "write_svg"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -47,14 +49,13 @@ def write_csv(
     path: str,
     header: Sequence[str],
     rows: Sequence[Sequence[object]],
-    version: str,
     scenario: str,
     resolved_config: Mapping[str, object],
     seed: int,
 ) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(
-            f"# mwadversary {version} scenario={scenario} "
+            f"# mwadversary {__version__} scenario={scenario} "
             f"config_sha256={config_hash(resolved_config)} seed={seed}\n"
         )
         writer = csv.writer(fh, lineterminator="\n")
@@ -67,10 +68,9 @@ def write_svg(
     path: str,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     title: str,
-    xlabel: str,
-    ylabel: str,
 ) -> None:
-    """Poly-line chart of (label, xs, ys) series on shared axes, each drawn in increasing x."""
+    """Poly-line chart of (label, xs, ys) series on shared axes, each drawn
+    in increasing x, with "stages N" on the x axis and "expected loss" on the y axis."""
     width, height, margin = 640, 420, 60
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if y is not None]
     if not pts:
@@ -97,9 +97,9 @@ def write_svg(
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         'stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" '
-        f'font-size="12">{xlabel}</text>',
+        'font-size="12">stages N</text>',
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {height / 2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 18 {height / 2:.1f})">expected loss</text>',
         f'<text x="{margin}" y="{height - margin + 16}" font-size="10">{fmt(float(x_lo))}</text>',
         f'<text x="{width - margin}" y="{height - margin + 16}" text-anchor="end" '
         f'font-size="10">{fmt(float(x_hi))}</text>',

@@ -63,13 +63,11 @@ def _worst_case(name: str, cases: Iterable[tuple[float, str]], tol: float) -> Ch
     return CheckResult(name, bool(worst <= tol), worst, tol, detail)
 
 
-def check_oracle_equivalence(evaluator: Callable | None = None) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """Block-policy evaluation against brute-force path enumeration:
     exhaustively at N=8 and on random policies up to N=12."""
-    evaluate = evaluator or (lambda pol, params: value_block_policy(block_form(pol), params))
-
     def deviation(pol: OfflinePolicy, params: ModelParams) -> float:
-        return abs(evaluate(pol, params) - brute_force_value(pol, params))
+        return abs(value_block_policy(block_form(pol), params) - brute_force_value(pol, params))
 
     n = 8
     params = ModelParams(epsilon=_EPS_DEFAULT, mu=0.5, horizon=n)

@@ -481,16 +481,17 @@ class TestVerifyScenario:
         assert all(row[1] == "true" for row in rows)
         assert all(row[4] for row in rows), "every row names its worst case"
 
-    def test_detects_perturbed_evaluator(self):
+    def test_detects_perturbed_evaluator(self, monkeypatch):
         """An epsilon perturbation injected into the evaluator must trip the
         oracle-equivalence check."""
-        def perturbed(policy, p):
+        def perturbed(blocks, p):
             skewed = ModelParams(
                 epsilon=p.epsilon * 1.01, mu=p.mu, horizon=p.horizon, rho0=p.rho0
             )
-            return value_block_policy(block_form(policy), skewed)
+            return value_block_policy(blocks, skewed)
 
-        result = check_oracle_equivalence(evaluator=perturbed)
+        monkeypatch.setattr(verify, "value_block_policy", perturbed)
+        result = check_oracle_equivalence()
         assert not result.passed
         assert result.measured > result.tolerance
 
@@ -697,6 +698,17 @@ class TestConfigRejections:
         out = tmp_path / "r.csv"
         assert main([scenario, "--N", "4,6,4", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid config:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizons", ["5,0", "5,-2"])
+    @pytest.mark.parametrize("scenario", ["eval-offline", "solve-online", "compare", "multi-expert"])
+    def test_nonpositive_horizon_is_a_config_error(self, tmp_path, capsys, scenario, horizons):
+        """Rejected before any pass runs, with ModelParams' own message."""
+        out = tmp_path / "r.csv"
+        assert main([scenario, "--N", horizons, "--out", str(out)]) == 2
+        bad = horizons.split(",")[1]
+        assert capsys.readouterr().err == (
+            f"invalid config: horizon must be a positive integer, got {bad}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("policies", ["ratio,ratio", "FTFTF,true,FTFTF"])

@@ -303,8 +303,9 @@ class TestMwStep:
 
 
 class TestBinomial:
-    def test_empty(self):
-        d = binomial(0, 0.5)
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_empty(self, p):
+        d = binomial(0, p)
         assert d.pmf.tolist() == [1.0]
         assert d.tails.tolist() == [0.0]
 

@@ -759,6 +759,21 @@ class TestMixedPolicyValues:
                     want += weight * brute_force_value(OfflinePolicy(lie_text(lies)), p)
             assert values[r] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1,), (9,), (4, 1), (3, 11)])
+    def test_sure_actions_shift_the_mass(self, shape):
+        """At lie 0 or 1 the forward step is one shift plus the weight that
+        stays, bit for bit, on nonnegative masses with exact zeros among them."""
+        rng = np.random.default_rng(3)
+        mu = 0.3
+        masses = rng.random(shape) * (rng.random(shape) < 0.7)
+        for lie, stay, move, to in ((1.0, 1.0 - mu, mu, slice(2, None)),
+                                    (0.0, mu, 1.0 - mu, slice(None, -2))):
+            want = np.zeros(shape[:-1] + (shape[-1] + 2,))
+            want[..., 1:-1] = stay * masses
+            want[..., to] += move * masses
+            got = exact_eval._forward_step(masses, lie, mu)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_scalar_probability_applies_to_every_stage(self):
         p = params(0.3, 12, 0.6)
         assert np.array_equal(mixed_policy_values(0.25, p), mixed_policy_values([0.25] * 12, p))

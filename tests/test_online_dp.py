@@ -711,6 +711,18 @@ class TestBlockReplay:
         lo, hi = policy.lo, policy.hi
         assert np.all((lo <= seen[:, 0]) & (seen[:, 1] <= hi)) and hi[-1] - lo[-1] < 8
 
+    def test_wide_interval_takes_the_step_path(self, map_shapes):
+        """N = 2000 at eps = 0.999, mu = 1/2: the reachable interval is 2000
+        offsets wide, so one pattern's map alone (512,000 cells) passes the
+        module budget and the replay steps stage by stage, still the
+        oracle's per-trial losses bit for bit."""
+        p = params(mu=0.5, horizon=2000, epsilon=0.999)
+        policy = optimal_policy(p)
+        assert (policy.hi[-1] - policy.lo[-1] + 1) * 256 > online_dp._BLOCK_MAP_CELLS
+        want, _ = _per_stage_replay(p, _lie_rows(p), 64, 7)
+        assert np.array_equal(simulate_online(p, policy, 64, 7).per_trial, want)
+        assert not map_shapes
+
     @pytest.mark.parametrize("budget", ["module", "none"])
     def test_replay_reads_the_stored_rows(self, monkeypatch, budget):
         """The replay derives nothing from a policy: with the interval pass
