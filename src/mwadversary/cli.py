@@ -14,6 +14,7 @@ Each scenario reads its own keys (``_DEFAULTS``) and takes a command-line
 flag for each of them and for no other key.  One flat INI-style
 ``key = value`` file may set any scenario's keys; a scenario takes (and
 hashes into ``config_sha256``) only its own, and a flag overrides the file.
+An invalid configuration is reported before any computation runs.
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 guard violation.
 """
@@ -183,20 +184,8 @@ class ExperimentConfig:
     max_denominator: int = _key("max_denominator", _one(_ints),
                                 "rational-approximation bound for ratio policy", int)
     resolved: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def mu_rho_pairs(self) -> list[tuple[float, float]]:
-        mus, rhos = self.mus, self.rho0s
-        if len(mus) == 1 and len(rhos) > 1:
-            mus = mus * len(rhos)
-        if len(rhos) == 1 and len(mus) > 1:
-            rhos = rhos * len(mus)
-        if len(mus) != len(rhos) or not mus:
-            raise ConfigError("mu and rho0 lists must be nonempty and pair up (equal length or length 1)")
-        pairs = list(zip(mus, rhos))
-        if len(set(pairs)) != len(pairs):
-            raise ConfigError(f"every (mu, rho0) pair must be distinct, got {pairs}")
-        return pairs
+    # one problem per (mu, rho0) pair at the largest horizon, built by resolve_config
+    groups: list[ModelParams] = field(default_factory=list)
 
 
 # every configuration key, in flag order, with the field it sets, its parser
@@ -206,6 +195,10 @@ _KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["help"])
 
 
 def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[str, str]) -> ExperimentConfig:
+    """Defaults, then file values, then flags.  Checks the output path, the
+    horizons, policy list, trials, seed and max_denominator, then pairs mu
+    with rho0 and builds ``cfg.groups``, each pair's ``ModelParams`` at the
+    largest horizon.  Raises ConfigError on the first fault."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
     # one config file serves every scenario: each takes only its own keys
@@ -245,6 +238,17 @@ def resolve_config(scenario: str, file_values: dict[str, str], cli_values: dict[
         raise ConfigError(f"seed must be in [0, 2**128), got {cfg.seed}")
     if "max_denominator" in merged and cfg.max_denominator < 1:
         raise ConfigError(f"max_denominator must be at least 1, got {cfg.max_denominator}")
+    if "mu" in merged:
+        # a list of length 1 pairs with every entry of the other
+        width = max(len(cfg.mus), len(cfg.rho0s))
+        mus, rhos = (v * width if len(v) == 1 else v for v in (cfg.mus, cfg.rho0s))
+        if len(mus) != len(rhos) or not mus:
+            raise ConfigError("mu and rho0 lists must be nonempty and pair up (equal length or length 1)")
+        pairs = list(zip(mus, rhos))
+        if len(set(pairs)) != len(pairs):
+            raise ConfigError(f"every (mu, rho0) pair must be distinct, got {pairs}")
+        top = max(cfg.horizons)
+        cfg.groups = [_checked(ModelParams, cfg.epsilon, mu, top, rho0) for mu, rho0 in pairs]
     return cfg
 
 
@@ -257,7 +261,8 @@ def _checked(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_policy(name: str, n: int, params: ModelParams, cfg: ExperimentConfig) -> OfflinePolicy:
+def _build_policy(name: str, params: ModelParams, cfg: ExperimentConfig) -> OfflinePolicy:
+    n = params.horizon
     if name not in _NAMED_POLICIES and not set(name) <= {"F", "T"}:
         raise ConfigError(f"unknown policy {name!r} (use false/true/ratio/random or an F/T string)")
     if name == "false":
@@ -277,12 +282,8 @@ def _build_policy(name: str, n: int, params: ModelParams, cfg: ExperimentConfig)
 def _group_charts(cfg: ExperimentConfig, rows: list, title: str, series_of) -> list:
     """One chart per (mu, rho0) group of rows that hold mu and rho0 in
     columns 1 and 2; ``series_of`` turns a group's rows into its series."""
-    charts = []
-    for mu, rho0 in cfg.mu_rho_pairs:
-        group = [r for r in rows if r[1] == mu and r[2] == rho0]
-        charts.append((f"_mu{mu:g}_rho{rho0:g}", f"{title} (mu={mu:g}, rho0={rho0:g})",
-                       series_of(group)))
-    return charts
+    return [(f"_mu{g.mu:g}_rho{g.rho0:g}", f"{title} (mu={g.mu:g}, rho0={g.rho0:g})",
+             series_of([r for r in rows if r[1] == g.mu and r[2] == g.rho0])) for g in cfg.groups]
 
 
 def _columns(rows: list, columns: list[tuple[str, int]]) -> list:
@@ -309,13 +310,11 @@ def run_eval_offline(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "policy_name", "policy", "value"]
     names = cfg.policies
     labels = [name if name in _NAMED_POLICIES else "explicit" for name in names]
-    rows = []
-    for mu, rho0 in cfg.mu_rho_pairs:
-        for n in cfg.horizons:
-            params = _checked(ModelParams, cfg.epsilon, mu, n, rho0)
-            for name, label in zip(names, labels):
-                pol = _build_policy(name, n, params, cfg)
-                rows.append([n, mu, rho0, cfg.epsilon, label, pol.text, policy_value(pol, params)])
+    # every policy is built, and so checked, before the first is evaluated
+    problems = [replace(g, horizon=n) for g in cfg.groups for n in cfg.horizons]
+    policies = [[_build_policy(name, p, cfg) for name in names] for p in problems]
+    rows = [[p.horizon, p.mu, p.rho0, cfg.epsilon, label, pol.text, policy_value(pol, p)]
+            for p, pols in zip(problems, policies) for pol, label in zip(pols, labels)]
     # a group lists each N's rows policy by policy; a series per policy, named or F/T
     return header, rows, _group_charts(cfg, rows, "offline policy loss", lambda group: [
         (name, [r[0] for r in group[i::len(names)]], [r[6] for r in group[i::len(names)]])
@@ -332,16 +331,16 @@ def _row_key(seed: int, row: int) -> int:
 def run_solve_online(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "v_online", "sim_mean", "sim_stderr", "trials"]
     rows = []
-    for mu, rho0 in cfg.mu_rho_pairs:
+    for group in cfg.groups:
         for n in cfg.horizons:
-            params = _checked(ModelParams, cfg.epsilon, mu, n, rho0)
+            params = replace(group, horizon=n)
             policy = optimal_policy(params)
             sim_mean = sim_err = None
             if cfg.trials > 0:
                 res = simulate_online(params, policy, cfg.trials, _row_key(cfg.seed, len(rows)))
                 sim_mean, sim_err = res.mean, res.stderr
-            rows.append([n, mu, rho0, cfg.epsilon, policy.root_value, sim_mean, sim_err,
-                         cfg.trials or None])
+            rows.append([n, group.mu, group.rho0, cfg.epsilon, policy.root_value, sim_mean,
+                         sim_err, cfg.trials or None])
     return header, rows, _group_charts(cfg, rows, "optimal online loss",
                                        lambda group: _columns(group, [("online optimum", 4)]))
 
@@ -350,13 +349,11 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     header = ["N", "mu", "rho0", "epsilon", "v_false", "v_true", "v_ratio",
               "v_offline_opt", "v_online", "v_no_adversary", "v_no_info"]
     rows = []
-    top = max(cfg.horizons)
     # one backward pass steps every (mu, rho0) group together and holds every
     # horizon of each; per group, the no-adversary column, the no-information
     # adjoint pass, one ratio-pair walk and one offline forward pass (to the
     # largest horizon within offline_opt_max_n) hold every horizon
-    groups = [_checked(ModelParams, cfg.epsilon, mu, top, rho0) for mu, rho0 in cfg.mu_rho_pairs]
-    for (mu, rho0), longest, online in zip(cfg.mu_rho_pairs, groups, optimal_values(groups)):
+    for longest, online in zip(cfg.groups, optimal_values(cfg.groups)):
         opt_n = max((n for n in cfg.horizons if n <= cfg.offline_opt_max_n), default=0)
         offline = offline_optimum_values(replace(longest, horizon=opt_n)) if opt_n else []
         no_adversary = two_honest_values(longest)
@@ -366,17 +363,17 @@ def run_compare(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
                                                        cfg.max_denominator).tolist()))
         for n in cfg.horizons:
             params = replace(longest, horizon=n)
-            v_f = value_false(n, rho0, params)
-            v_t = value_true(n, rho0, params)
+            v_f = value_false(n, longest.rho0, params)
+            v_t = value_true(n, longest.rho0, params)
             v_ratio = ratio.get(n)
             v_opt = float(offline[n]) if n <= cfg.offline_opt_max_n else None
             v_on = float(online[n])
             lower = max(v for v in (v_f, v_ratio, v_opt) if v is not None)
             if v_on < lower - 1e-9:
                 raise RuntimeError(
-                    f"invariant violated at N={n}, mu={mu}: online {v_on} < offline {lower}"
+                    f"invariant violated at N={n}, mu={longest.mu}: online {v_on} < offline {lower}"
                 )
-            rows.append([n, mu, rho0, cfg.epsilon, v_f, v_t, v_ratio, v_opt, v_on,
+            rows.append([n, longest.mu, longest.rho0, cfg.epsilon, v_f, v_t, v_ratio, v_opt, v_on,
                          float(no_adversary[n]), float(no_info[n])])
     values = [(header[col], col) for col in range(4, len(header))]
     return header, rows, _group_charts(cfg, rows, "policy comparison",

@@ -109,17 +109,16 @@ class TestConfig:
         assert cfg.epsilon == pytest.approx(math.exp(-1))
 
     def test_mu_rho_pairing(self):
-        cfg = resolve_config("compare", {"mu": "0.3,0.5", "rho0": "0.5"}, {})
-        assert cfg.mu_rho_pairs == [(0.3, 0.5), (0.5, 0.5)]
-        bad = resolve_config("compare", {"mu": "0.3,0.5", "rho0": "0.5,0.6,0.7"}, {})
-        with pytest.raises(ConfigError):
-            bad.mu_rho_pairs
-        repeated = resolve_config("compare", {"mu": "0.3,0.3"}, {})
+        """resolve_config pairs mu with rho0 and builds one problem per pair
+        at the largest horizon."""
+        cfg = resolve_config("compare", {"N": "4,9", "mu": "0.3,0.5", "rho0": "0.5"}, {})
+        assert [(g.mu, g.rho0, g.horizon) for g in cfg.groups] == [(0.3, 0.5, 9), (0.5, 0.5, 9)]
+        with pytest.raises(ConfigError, match="pair up"):
+            resolve_config("compare", {"mu": "0.3,0.5", "rho0": "0.5,0.6,0.7"}, {})
         with pytest.raises(ConfigError, match="distinct"):
-            repeated.mu_rho_pairs
-        empty = resolve_config("compare", {"mu": "", "rho0": ","}, {})
+            resolve_config("compare", {"mu": "0.3,0.3"}, {})
         with pytest.raises(ConfigError, match="nonempty"):
-            empty.mu_rho_pairs
+            resolve_config("compare", {"mu": "", "rho0": ","}, {})
 
     def test_exit_code_invalid_config(self, tmp_path):
         assert main(["compare", "--mu", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
@@ -603,6 +602,26 @@ def test_byte_identical_reruns(tmp_path):
 
 
 class TestConfigRejections:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-online", "--N", "3000", "--mu", "0.5,1.5"],
+         "mu must be strictly inside (0, 1), got 1.5"),
+        (["eval-offline", "--N", "5,8", "--policy", "FTFTF"],
+         "explicit policy has 5 stages but N=8; they must match"),
+        (["eval-offline", "--N", "3000,1", "--policy", "ratio"],
+         "ratio policy needs horizon >= 2"),
+    ], ids=["late-mu", "explicit-length", "ratio-short"])
+    def test_bad_input_stops_before_any_pass(self, tmp_path, capsys, monkeypatch, argv, message):
+        """A fault in a later (mu, rho0) pair or horizon is reported before
+        the earlier rows' passes run."""
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the config was checked")
+        for name in ("optimal_policy", "optimal_values", "policy_value"):
+            monkeypatch.setattr(cli, name, no_pass)
+        out = tmp_path / "b.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["multi-expert", "--trials", "0"],
         ["multi-expert", "--trials", "-2"],
