@@ -29,8 +29,6 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from . import __version__
 from .core import GuardError, ModelParams, _positive_int
 from .exact_eval import (
@@ -384,25 +382,24 @@ def run_multi_expert(cfg: ExperimentConfig) -> tuple[list[str], list, list]:
     longest = max(cfg.horizons)
     kparams = _checked(KExpertParams, cfg.epsilon, longest, tuple(cfg.accuracies),
                        tuple(cfg.weights))
-    rho_adv = kparams.adversary_relative_weight  # validates before np.mean reads them
+    reduced = _checked(kparams.reduced)
     header = ["N", "epsilon", "rho_adv", "mu_mean", "v_two_expert", "v_k_clairvoyant",
               "v_k_clairvoyant_stderr", "v_k_exact_dp", "trials", "k_experts", "accuracies"]
-    mu_mean = float(np.mean(cfg.accuracies))
     acc_text = ";".join(fmt(a) for a in cfg.accuracies)
-    # one backward pass at the largest horizon holds the reduced model's
-    # online value of every smaller one, and one exact K-expert solve at the
-    # largest horizon within exact_dp_max_n (raising the knob past the solver
-    # guards is a hard guard violation, exit 3) every exact value; it holds two
-    # grids and runs before the draws, so grids and losses are never held together
-    two_expert = optimal_values(_checked(ModelParams, cfg.epsilon, mu_mean, longest, rho_adv))
+    # one exact K-expert solve at the largest horizon within exact_dp_max_n
+    # holds every exact value, and one backward pass at the largest horizon
+    # every online value of the reduced model.  The solve runs first, so
+    # raising the knob past its guards is a guard violation (exit 3) before
+    # any pass, and its two grids are freed before the draws
     exact_n = max((n for n in cfg.horizons if n <= cfg.exact_dp_max_n), default=0)
     exact = solve_k_expert_values(replace(kparams, horizon=exact_n)) if exact_n else []
+    two_expert = optimal_values(reduced)
     # one draw at the largest horizon: each row's trials are its first n stages
     clairvoyant = monte_carlo_k_expert_values(kparams, cfg.trials, cfg.seed, cfg.horizons)
     rows = []
     for n, mc in zip(cfg.horizons, clairvoyant):
         v_exact = float(exact[n]) if n <= cfg.exact_dp_max_n else None
-        rows.append([n, cfg.epsilon, rho_adv, mu_mean, float(two_expert[n]), mc.mean,
+        rows.append([n, cfg.epsilon, reduced.rho0, reduced.mu, float(two_expert[n]), mc.mean,
                      mc.stderr, v_exact, cfg.trials, kparams.n_experts, acc_text])
     series = _columns(rows, [("two-expert online", 4), ("k-expert clairvoyant MC", 5),
                              ("k-expert exact DP", 7)])

@@ -536,9 +536,15 @@ class KExpertParams:
     def n_experts(self) -> int:
         return len(self.initial_weights)
 
-    @property
-    def adversary_relative_weight(self) -> float:
-        return self.initial_weights[0] / sum(self.initial_weights)
+    def reduced(self) -> ModelParams:
+        """The two-expert model: one honest expert of the mean accuracy
+        against the adversary at its relative weight w0 / sum(w)."""
+        w = self.initial_weights
+        rho = w[0] / sum(w)
+        if not 0.0 < rho < 1.0:
+            raise ValueError(f"initial weights {w} round the adversary's relative weight "
+                             f"to {rho}; it must be in (0, 1)")
+        return ModelParams(self.epsilon, float(np.mean(self.accuracies)), self.horizon, rho)
 
 
 def solve_k_expert_values(params: KExpertParams) -> np.ndarray:

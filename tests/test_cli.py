@@ -133,6 +133,20 @@ class TestConfig:
         )
         assert rc == 3
 
+    def test_guard_violation_stops_before_any_pass(self, tmp_path, capsys, monkeypatch):
+        """The exact solve's budget guard fires before the reduced model's
+        backward pass and the draws run."""
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the exact solve's guard")
+        for name in ("optimal_values", "monte_carlo_k_expert_values"):
+            monkeypatch.setattr(cli, name, no_pass)
+        out = tmp_path / "g.csv"
+        assert main(["multi-expert", "--N", "30", "--exact_dp_max_n", "40",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("guard violation: (2N+1)^(K-1) = 13845841 states "
+                                           "exceeds the budget 2000000\n")
+        assert not out.exists()
+
 
 class TestCompareScenario:
     def test_rows_and_dominance(self, tmp_path):
@@ -609,13 +623,17 @@ class TestConfigRejections:
          "explicit policy has 5 stages but N=8; they must match"),
         (["eval-offline", "--N", "3000,1", "--policy", "ratio"],
          "ratio policy needs horizon >= 2"),
-    ], ids=["late-mu", "explicit-length", "ratio-short"])
+        (["multi-expert", "--weights", "1e300,1e-300,1e-300,1e-300,1e-300"],
+         "initial weights (1e+300, 1e-300, 1e-300, 1e-300, 1e-300) round the adversary's "
+         "relative weight to 1.0; it must be in (0, 1)"),
+    ], ids=["late-mu", "explicit-length", "ratio-short", "extreme-weights"])
     def test_bad_input_stops_before_any_pass(self, tmp_path, capsys, monkeypatch, argv, message):
-        """A fault in a later (mu, rho0) pair or horizon is reported before
-        the earlier rows' passes run."""
+        """A fault in a later (mu, rho0) pair or horizon, or in the weights
+        of the reduced model, is reported before the earlier rows' passes run."""
         def no_pass(*args, **kwargs):
             raise AssertionError("a pass ran before the config was checked")
-        for name in ("optimal_policy", "optimal_values", "policy_value"):
+        for name in ("optimal_policy", "optimal_values", "policy_value",
+                     "solve_k_expert_values", "monte_carlo_k_expert_values"):
             monkeypatch.setattr(cli, name, no_pass)
         out = tmp_path / "b.csv"
         assert main(argv + ["--out", str(out)]) == 2
@@ -889,17 +907,20 @@ def test_benchmark_layer_metrics_name_public_functions():
 
 
 def test_package_names_are_in_their_modules_all():
-    """Every name ``mwadversary/__init__.py`` imports from one of its modules
-    is listed in that module's ``__all__``, and every ``__all__`` entry of
-    every module is defined there (``import *`` would fail on it), so a stale
-    name fails here."""
+    """``mwadversary/__init__.py`` imports ``*`` from each of its modules, so
+    the package's public names are exactly the union of those modules'
+    ``__all__``, and every ``__all__`` entry of every module is defined there
+    (``import *`` would fail on it), so a stale name fails here."""
     init = Path(mwadversary.__file__)
-    missing = []
+    missing, exported = [], set()
     for node in ast.walk(ast.parse(init.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             module = importlib.import_module(f"mwadversary.{node.module}")
-            missing += [f"{node.module}.{a.name}" for a in node.names
-                        if a.name not in getattr(module, "__all__", ())]
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name != "*"]
+            exported.update(module.__all__)
+    public = {name for name, value in vars(mwadversary).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == exported
     for info in pkgutil.iter_modules(mwadversary.__path__):
         module = importlib.import_module(f"mwadversary.{info.name}")
         missing += [f"{info.name}.__all__: {name}" for name in getattr(module, "__all__", ())

@@ -1,9 +1,10 @@
 """Backward-induction solvers, Monte Carlo harness, and baselines."""
 
 import math
+import re
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -984,6 +985,25 @@ class TestSolveKExpert:
     def test_rejects_non_finite_weights(self, weights):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             KExpertParams(epsilon=0.5, horizon=5, accuracies=(0.5, 0.5), initial_weights=weights)
+
+    @pytest.mark.parametrize("accuracies, weights", [
+        ((0.7,), (0.4, 1.3)),
+        ((0.3, 0.8), (2.0, 0.5, 1.0)),
+        ((0.3, 0.5, 0.6, 0.9), (0.7, 1.0, 2.5, 0.2, 1.1)),
+    ], ids=["K=2", "K=3", "K=5"])
+    def test_reduced_is_one_expert_of_the_mean_accuracy(self, accuracies, weights):
+        kp = KExpertParams(epsilon=0.4, horizon=7, accuracies=accuracies, initial_weights=weights)
+        want = ModelParams(0.4, float(np.mean(accuracies)), 7, weights[0] / sum(weights))
+        got = kp.reduced()
+        assert [getattr(got, f.name) for f in fields(ModelParams)] == [
+            getattr(want, f.name) for f in fields(ModelParams)]
+
+    @pytest.mark.parametrize("weights", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_reduced_rejects_a_weight_that_rounds_to_an_end(self, weights):
+        kp = KExpertParams(epsilon=0.5, horizon=5, accuracies=(0.5,), initial_weights=weights)
+        with pytest.raises(ValueError, match=re.escape(f"initial weights {weights} round the "
+                                                       "adversary's relative weight to")):
+            kp.reduced()
 
 
 class TestClairvoyant:
